@@ -78,7 +78,10 @@ let () =
    the node's own digit. The entry sets that digit and randomizes
    every lower-order bit with a single Prng draw — the digit
    generalisation of xor_entry, consuming one draw per entry in
-   (v, slot) order on both backends. *)
+   (v, slot) order on both backends. That is exactly the Digits build
+   lane at the family's digit width, so the flat backend fills the
+   table in C; the entry function builds classic tables and is the
+   reference the lane is diffed against. *)
 
 let checked_group ~bits params =
   let group = group_of params in
@@ -103,7 +106,11 @@ let () =
         let suffix = Prng.Splitmix.int rng size in
         Idspace.Id.with_suffix ~bits stepped ~prefix_len:(level * group) ~suffix
       in
-      (digits * (b - 1), entry))
+      {
+        Overlay.Table.degree = digits * (b - 1);
+        entry;
+        lane = Some (Overlay.Flat.Digits { group; draw = true });
+      })
 
 (* --- scalar routing -------------------------------------------------------
 

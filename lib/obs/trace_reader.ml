@@ -136,30 +136,47 @@ let parse_hops_attr s =
                | Some hops, Some count when hops >= 0 && count > 0 -> Some (hops, count)
                | _ -> None))
 
+(* Total length of a union of closed intervals: sort by start, then
+   sweep, extending the current run while the next interval overlaps. *)
+let union_length intervals =
+  let sorted = List.sort compare intervals in
+  let rec sweep acc run = function
+    | [] -> ( match run with None -> acc | Some (lo, hi) -> acc +. (hi -. lo))
+    | (lo, hi) :: rest -> (
+        match run with
+        | Some (run_lo, run_hi) when lo <= run_hi ->
+            sweep acc (Some (run_lo, Float.max hi run_hi)) rest
+        | Some (run_lo, run_hi) -> sweep (acc +. (run_hi -. run_lo)) (Some (lo, hi)) rest
+        | None -> sweep acc (Some (lo, hi)) rest)
+  in
+  sweep 0.0 None sorted
+
 let analyze ?(top = 5) records =
   let by_name : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  let by_domain : (int, int * float) Hashtbl.t = Hashtbl.create 8 in
+  (* Per domain: span count and the spans' [start, end] intervals. *)
+  let by_domain : (int, int * (float * float) list) Hashtbl.t = Hashtbl.create 8 in
   let by_geometry : (string, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   let span_records = ref 0 in
   let event_records = ref 0 in
   let heartbeats = ref 0 in
-  let first_ts = ref infinity in
+  let first_start = ref infinity in
   let last_ts = ref neg_infinity in
   let slowest = ref [] in
   List.iter
     (fun r ->
-      if r.ts < !first_ts then first_ts := r.ts;
+      (* [ts] is stamped when a span ends: it covers [ts - dur_s, ts]. *)
+      let dur = if r.kind = "span" then Option.value ~default:0.0 r.dur_s else 0.0 in
+      if r.ts -. dur < !first_start then first_start := r.ts -. dur;
       if r.ts > !last_ts then last_ts := r.ts;
       if r.kind = "span" then begin
         incr span_records;
-        let dur = Option.value ~default:0.0 r.dur_s in
         (match Hashtbl.find_opt by_name r.name with
         | Some durations -> durations := dur :: !durations
         | None -> Hashtbl.add by_name r.name (ref [ dur ]));
-        let spans, busy =
-          Option.value ~default:(0, 0.0) (Hashtbl.find_opt by_domain r.domain)
+        let spans, intervals =
+          Option.value ~default:(0, []) (Hashtbl.find_opt by_domain r.domain)
         in
-        Hashtbl.replace by_domain r.domain (spans + 1, busy +. dur);
+        Hashtbl.replace by_domain r.domain (spans + 1, (r.ts -. dur, r.ts) :: intervals);
         slowest := (dur, r) :: !slowest
       end
       else begin
@@ -195,7 +212,8 @@ let analyze ?(top = 5) records =
   in
   let domains =
     Hashtbl.fold
-      (fun dom_id (dom_spans, dom_busy_s) acc -> { dom_id; dom_spans; dom_busy_s } :: acc)
+      (fun dom_id (dom_spans, intervals) acc ->
+        { dom_id; dom_spans; dom_busy_s = union_length intervals } :: acc)
       by_domain []
     |> List.sort (fun a b -> compare a.dom_id b.dom_id)
   in
@@ -231,7 +249,8 @@ let analyze ?(top = 5) records =
     event_records = !event_records;
     heartbeats = !heartbeats;
     wall_s =
-      (if Float.is_finite !first_ts && !last_ts >= !first_ts then !last_ts -. !first_ts
+      (if Float.is_finite !first_start && !last_ts >= !first_start then
+         !last_ts -. !first_start
        else 0.0);
     spans;
     domains;

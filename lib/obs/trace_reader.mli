@@ -48,7 +48,10 @@ type span_stats = {
 type domain_stats = {
   dom_id : int;
   dom_spans : int;
-  dom_busy_s : float;  (** summed span durations on this domain *)
+  dom_busy_s : float;
+      (** length of the union of this domain's span intervals
+          [[ts - dur_s, ts]]: a span nested in another adds nothing, so
+          busy time never exceeds the domain's wall clock *)
 }
 
 type report = {
@@ -56,7 +59,10 @@ type report = {
   span_records : int;
   event_records : int;
   heartbeats : int;
-  wall_s : float;  (** last timestamp - first timestamp *)
+  wall_s : float;
+      (** latest end minus earliest start over all records:
+          max [ts] - min ([ts - dur_s]), since a span is stamped when
+          it ends (events count as zero-length) *)
   spans : (string * span_stats) list;  (** sorted by total time, descending *)
   domains : domain_stats list;  (** sorted by domain id *)
   imbalance : float option;

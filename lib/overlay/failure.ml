@@ -5,14 +5,18 @@ type t = Bitset.t
 (* Draw order is one bernoulli per node, id ascending — exactly the
    order the historical [Array.init n (fun _ -> not (bernoulli ...))]
    consumed, so masks sampled from a given rng state are unchanged by
-   the packed representation. *)
+   the packed representation. The failure lane (build_lanes_stubs.c)
+   runs that loop in C: node v dies when [Splitmix.float] is below q,
+   and it writes whole words, so bits past [n] stay zero. *)
+external lane_failure : Bitset.words -> int -> float -> int64 -> int64
+  = "rcm_lane_failure"
+
 let sample ?(rng = Prng.Splitmix.create ~seed:0xdead) ~q n =
   if not (Numerics.Prob.is_valid q) then invalid_arg "Failure.sample: invalid q";
   if n < 0 then invalid_arg "Failure.sample: negative size";
-  let mask = Bitset.all n in
-  for v = 0 to n - 1 do
-    if Prng.Splitmix.bernoulli rng ~p:q then Bitset.set mask v false
-  done;
+  let mask = Bitset.create n in
+  Prng.Splitmix.set_state rng
+    (lane_failure (Bitset.words mask) n q (Prng.Splitmix.state rng));
   mask
 
 let alive_count = Bitset.count

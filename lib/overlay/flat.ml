@@ -79,6 +79,62 @@ let init ~nodes ~degree f =
   offsets.{nodes} <- !k;
   { offsets; targets; uniform = (if nodes > 0 then degree else -1) }
 
+(* Build lanes (build_lanes_stubs.c): the whole uniform-degree fill in
+   one C call, on the identical SplitMix64 stream. *)
+type lane =
+  | Digits of { group : int; draw : bool }
+  | Offsets of int array
+  | Harmonic of { near : int }
+
+external lane_digits : offsets -> targets -> int -> int -> bool -> int64 -> int64
+  = "rcm_lane_digits_byte" "rcm_lane_digits"
+
+external lane_offsets : offsets -> targets -> int -> int array -> unit
+  = "rcm_lane_offsets"
+
+external lane_harmonic : offsets -> targets -> int -> int -> int -> int64 -> int64
+  = "rcm_lane_harmonic_byte" "rcm_lane_harmonic"
+
+let of_lane ?rng ~bits ~degree lane =
+  let fail fmt = Printf.ksprintf invalid_arg ("Flat.of_lane: " ^^ fmt) in
+  if bits < 1 || bits > Idspace.Space.max_bits then
+    fail "bits %d outside 1..%d" bits Idspace.Space.max_bits;
+  let lane_degree, draws =
+    match lane with
+    | Digits { group; draw } ->
+        if group < 1 || bits mod group <> 0 then
+          fail "digit width %d does not divide bits=%d" group bits;
+        (bits / group * ((1 lsl group) - 1), draw)
+    | Offsets steps -> (Array.length steps, false)
+    | Harmonic { near } ->
+        if near < 0 || near > degree then fail "near count %d outside 0..%d" near degree;
+        (degree, near < degree)
+  in
+  if degree <> lane_degree then
+    fail "degree %d, but the lane fills %d entries per node" degree lane_degree;
+  let state =
+    match rng with
+    | Some rng -> Prng.Splitmix.state rng
+    | None -> if draws then fail "a drawing lane needs ~rng" else 0L
+  in
+  let nodes = 1 lsl bits in
+  let offsets = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (nodes + 1) in
+  let targets =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (nodes * degree)
+  in
+  advise_hugepages offsets;
+  advise_hugepages targets;
+  let resume =
+    match lane with
+    | Digits { group; draw } -> lane_digits offsets targets bits group draw state
+    | Offsets steps ->
+        lane_offsets offsets targets bits steps;
+        state
+    | Harmonic { near } -> lane_harmonic offsets targets bits degree near state
+  in
+  Option.iter (fun rng -> Prng.Splitmix.set_state rng resume) rng;
+  { offsets; targets; uniform = degree }
+
 (* Variable-degree conversion from classic per-node rows (copies). *)
 let of_rows rows =
   let nodes = Array.length rows in

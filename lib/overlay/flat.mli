@@ -44,6 +44,44 @@ val init : nodes:int -> degree:int -> (int -> int -> int) -> t
     backend (the bit-identity contract of {!Table.build}).
     @raise Invalid_argument if a produced id falls outside [0, nodes). *)
 
+(** {1 Build lanes}
+
+    A lane fills a whole uniform-degree block over [2^bits] nodes in
+    one C call (build_lanes_stubs.c) instead of one closure call per
+    entry. Each shape reproduces an entry function of {!Table} exactly:
+    the same entries, and the same SplitMix64 draws in the same
+    ([v] ascending, [i] ascending) order, so a lane-built block and the
+    post-build [rng] state equal what {!init} gives with the entry
+    function — pinned per family by the lane-vs-entry matrix in
+    [test/test_lanes.ml]. *)
+
+type lane =
+  | Digits of { group : int; draw : bool }
+      (** Base-[2^group] digit correction. Slot [(level - 1) * (2^group - 1)
+          + rank - 1], level [1 .. bits / group] (most significant digit
+          first), rank [1 .. 2^group - 1], adds [rank] (mod [2^group]) to
+          the node's digit at [level]; with [draw], every lower-order bit
+          comes from one [Splitmix.int rng (2^bits)] draw. [group = 1]
+          without a draw is the tree/hypercube table (and
+          {!Table.build_deterministic_xor}), [group = 1] with a draw is
+          xor, larger groups are ReCord. *)
+  | Offsets of int array
+      (** Entry [i] of node [v] is [(v + steps.(i)) mod 2^bits]: Chord
+          fingers and successor lists. Draws nothing. *)
+  | Harmonic of { near : int }
+      (** Symphony: entries [0 .. near - 1] are the successors at distance
+          [i + 1], the rest are shortcuts at a
+          [Splitmix.harmonic_int rng ~n:(2^bits - 1)] distance each. *)
+
+val of_lane : ?rng:Prng.Splitmix.t -> bits:int -> degree:int -> lane -> t
+(** [of_lane ?rng ~bits ~degree lane] builds the [2^bits]-node block of
+    uniform degree [degree] that [lane] describes, drawing from [rng]
+    and leaving it in the state the entry function would have.
+    @raise Invalid_argument if [bits] is outside [1..30], [degree]
+    differs from the number of entries the lane fills, a digit width
+    does not divide [bits], a drawing lane gets no [rng], or a produced
+    id falls outside [[0, 2^bits)]. *)
+
 val of_rows : int array array -> t
 (** Copies a classic per-node adjacency into a flat block (supports
     variable-degree rows, e.g. the bidirectional Symphony overlay).

@@ -111,15 +111,16 @@ let ring_with_successors_entry ~bits ~size v i =
 (* Custom-family table builders, keyed by family name. A builder
    returns the uniform degree plus the entry function [(v, i) ->
    neighbour id] that [make] evaluates for v ascending then i
-   ascending on both backends — which is the whole bit-identity
-   mechanism: a plugin that draws from [rng] only inside its entry
-   function gets Classic/Flat equality for free. Registered at
+   ascending — which is the whole bit-identity mechanism: a plugin
+   that draws from [rng] only inside its entry function gets
+   Classic/Flat equality for free. A builder may also name the
+   [Flat.lane] that fills the same table in C; the flat backend then
+   runs the lane instead of the entry function. Registered at
    module-init time from plugin libraries, before any build. *)
+type custom_table = { degree : int; entry : int -> int -> int; lane : Flat.lane option }
+
 type custom_builder =
-  space:Idspace.Space.t ->
-  rng:Prng.Splitmix.t ->
-  (string * int) list ->
-  int * (int -> int -> int)
+  space:Idspace.Space.t -> rng:Prng.Splitmix.t -> (string * int) list -> custom_table
 
 let custom_builders : (string, custom_builder) Hashtbl.t = Hashtbl.create 8
 
@@ -129,26 +130,52 @@ let register_custom_builder ~family builder =
       (Printf.sprintf "Table.register_custom_builder: %S already registered" family);
   Hashtbl.replace custom_builders family builder
 
-let make ~space ~geometry ~backend ~degree entry =
+(* Classic rows always come from the entry function, which stays the
+   reference every lane is diffed against; a flat block comes from the
+   lane when the geometry has one. *)
+let make ?rng ?lane ~space ~geometry ~backend ~degree entry =
   let size = Idspace.Space.size space in
   let repr =
-    match backend with
-    | Classic -> Rows (Array.init size (fun v -> Array.init degree (entry v)))
-    | Flat -> Csr (Flat.init ~nodes:size ~degree entry)
+    match (backend, lane) with
+    | Classic, _ -> Rows (Array.init size (fun v -> Array.init degree (entry v)))
+    | Flat, None -> Csr (Flat.init ~nodes:size ~degree entry)
+    | Flat, Some lane ->
+        Csr (Flat.of_lane ?rng ~bits:(Idspace.Space.bits space) ~degree lane)
   in
   { space; geometry; repr }
+
+let finger_steps ~bits = Array.init bits (fun i -> 1 lsl i)
 
 let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic) ~bits geometry =
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
-  let degree, entry =
+  let { degree; entry; lane } =
     match geometry with
-    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, tree_entry ~bits)
-    | Rcm.Geometry.Xor -> (bits, xor_entry space rng)
-    | Rcm.Geometry.Ring -> (bits, ring_entry ~size)
+    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube ->
+        {
+          degree = bits;
+          entry = tree_entry ~bits;
+          lane = Some (Flat.Digits { group = 1; draw = false });
+        }
+    | Rcm.Geometry.Xor ->
+        {
+          degree = bits;
+          entry = xor_entry space rng;
+          lane = Some (Flat.Digits { group = 1; draw = true });
+        }
+    | Rcm.Geometry.Ring ->
+        {
+          degree = bits;
+          entry = ring_entry ~size;
+          lane = Some (Flat.Offsets (finger_steps ~bits));
+        }
     | Rcm.Geometry.Symphony { k_n; k_s } ->
         if k_n + k_s >= size then invalid_arg "Table.build_symphony: degree exceeds ring size";
-        (k_n + k_s, symphony_entry ~size rng ~k_n)
+        {
+          degree = k_n + k_s;
+          entry = symphony_entry ~size rng ~k_n;
+          lane = Some (Flat.Harmonic { near = k_n });
+        }
     | Rcm.Geometry.Custom { family; params } -> (
         match Hashtbl.find_opt custom_builders family with
         | Some builder -> builder ~space ~rng params
@@ -156,7 +183,7 @@ let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic) ~bits 
             invalid_arg
               (Printf.sprintf "Table.build: family %S has no registered table builder" family))
   in
-  make ~space ~geometry ~backend ~degree entry
+  make ~rng ?lane ~space ~geometry ~backend ~degree entry
 
 (* Wrap an externally managed neighbour matrix (no copy): the churn
    simulator repairs rows in place and routes through the shared
@@ -220,6 +247,7 @@ let build_ring_with_successors ?(backend = Classic) ~bits ~successors () =
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
   make ~space ~geometry:Rcm.Geometry.Ring ~backend ~degree:(bits + successors)
+    ~lane:(Flat.Offsets (Array.append (finger_steps ~bits) (Array.init successors succ)))
     (ring_with_successors_entry ~bits ~size)
 
 let build_randomized_ring ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic)
@@ -234,7 +262,9 @@ let build_randomized_ring ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend =
    routing this realises the Markov chain of Fig. 5(b) exactly. *)
 let build_deterministic_xor ?(backend = Classic) ~bits () =
   let space = Idspace.Space.create ~bits in
-  make ~space ~geometry:Rcm.Geometry.Xor ~backend ~degree:bits (tree_entry ~bits)
+  make ~space ~geometry:Rcm.Geometry.Xor ~backend ~degree:bits
+    ~lane:(Flat.Digits { group = 1; draw = false })
+    (tree_entry ~bits)
 
 let to_digraph t =
   match t.repr with

@@ -57,19 +57,32 @@ val build : ?rng:Prng.Splitmix.t -> ?backend:backend -> bits:int -> Rcm.Geometry
     @raise Invalid_argument on a custom geometry whose family never
     called {!register_custom_builder}. *)
 
+type custom_table = {
+  degree : int;  (** Uniform row degree. *)
+  entry : int -> int -> int;
+      (** The mandatory entry function [(v, i) -> neighbour id]: the
+          classic backend, the flat backend without a lane, and the
+          reference a lane is diffed against. *)
+  lane : Flat.lane option;
+      (** An optional {!Flat.lane} that fills the same block in C. It
+          must produce the entries of [entry] and consume the same
+          draws from the builder's [rng]; the flat backend then uses it
+          instead of [entry]. [None] keeps the closure fill. *)
+}
+(** What a custom family's builder returns. *)
+
 type custom_builder =
-  space:Idspace.Space.t ->
-  rng:Prng.Splitmix.t ->
-  (string * int) list ->
-  int * (int -> int -> int)
+  space:Idspace.Space.t -> rng:Prng.Splitmix.t -> (string * int) list -> custom_table
 (** A plugin family's table construction: given the identifier space,
-    the build PRNG and the family parameters, return the uniform
-    degree and the entry function [(v, i) -> neighbour id]. {!build}
-    evaluates entries for [v] ascending then [i] ascending on both
-    backends, so a builder that draws from [rng] only inside its entry
-    function (and draws the same number of times per entry regardless
-    of outcome) inherits Classic/Flat bit-identity — the same
-    mechanism the built-in randomized constructions use. *)
+    the build PRNG and the family parameters, return the degree, the
+    entry function and optionally a build lane. {!build} evaluates
+    entries for [v] ascending then [i] ascending on both backends, so a
+    builder that draws from [rng] only inside its entry function (and
+    draws the same number of times per entry regardless of outcome)
+    inherits Classic/Flat bit-identity — the same mechanism the
+    built-in randomized constructions use. A lane owes the same
+    identity to the entry function (see DESIGN.md, "Adding a
+    geometry"). *)
 
 val register_custom_builder : family:string -> custom_builder -> unit
 (** Registers the table builder of a custom family. Call at

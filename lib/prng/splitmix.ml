@@ -8,6 +8,8 @@ let of_int64 seed = { state = seed }
 
 let state t = t.state
 
+let set_state t state = t.state <- state
+
 let copy t = { state = t.state }
 
 (* SplitMix64 finaliser (Steele, Lea & Flood 2014): one additive step and
@@ -30,9 +32,13 @@ let float t =
 
 let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
-(* Unbiased bounded integers by rejection on the top chunk. *)
+(* Unbiased bounded integers by rejection on the top chunk. A power-of-two
+   bound divides 2^62, so [limit] is [max62] and the draw never rejects:
+   masking gives the same value from the same single draw, without the
+   two divisions. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: non-positive bound"
+  else if bound land (bound - 1) = 0 then bits62 t land (bound - 1)
   else begin
     let max62 = (1 lsl 62) - 1 in
     let limit = max62 - (((max62 mod bound) + 1) mod bound) in

@@ -16,6 +16,13 @@ val state : t -> int64
     {!Overlay.Table_cache} to skip an already-performed build without
     perturbing the draws that follow it. *)
 
+val set_state : t -> int64 -> unit
+(** [set_state t s] makes [t] continue the stream from state [s]. Code
+    that runs the SplitMix64 step outside OCaml (the C build lanes of
+    {!Overlay.Flat}) hands its post-run state back through this, so
+    later draws from [t] are the ones the OCaml draws would have
+    produced. *)
+
 val copy : t -> t
 (** [copy t] is an independent generator with the same state. *)
 
@@ -30,7 +37,8 @@ val float : t -> float
 (** [float t] is uniform on [0, 1) with 53 random bits. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform on [0, bound), unbiased.
+(** [int t bound] is uniform on [0, bound), unbiased. A power-of-two
+    [bound] takes exactly one draw, [(next_int64 t >>> 2) land (bound - 1)].
     @raise Invalid_argument if [bound <= 0]. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int

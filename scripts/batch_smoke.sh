@@ -7,7 +7,11 @@
 #      several worker domains. This is the bit-identity contract the
 #      kernels are built around — same outcomes, hop counts and PRNG
 #      draws, so the batch path is a pure speed-up, never a fork.
-#   2. Evidence: the smoke bench must emit a batch section whose JSON
+#   2. Build lanes: the classic backend builds every table from the
+#      geometry's OCaml entry function, the flat backend from a C build
+#      lane on the same SplitMix64 stream. A simulate sweep must print
+#      the same stdout under both, for all six families.
+#   3. Evidence: the smoke bench must emit a batch section whose JSON
 #      passes schema validation, with a positive speedup recorded for
 #      every geometry.
 #
@@ -32,7 +36,7 @@ fail() {
     exit 1
 }
 
-echo "batch-smoke: 1/2 batch vs scalar byte-identity (flat backend)"
+echo "batch-smoke: 1/3 batch vs scalar byte-identity (flat backend)"
 for g in ring xor tree hypercube symphony; do
     for jobs in 1 2; do
         ARGS="simulate -g $g -d 8 -q 0.25 --trials 2 --pairs 80 \
@@ -46,10 +50,21 @@ for g in ring xor tree hypercube symphony; do
     done
 done
 
-echo "batch-smoke: 2/2 smoke bench batch section validates"
+echo "batch-smoke: 2/3 build lane vs entry function (flat vs classic overlay)"
+for g in tree hypercube xor ring symphony record:h=4; do
+    ARGS="simulate -g $g -d 12 -q 0.2 --trials 2 --pairs 200 --seed 42 --jobs 1"
+    $DHTLAB $ARGS --overlay classic > "$WORK/lane.$g.classic.txt"
+    $DHTLAB $ARGS --overlay flat > "$WORK/lane.$g.flat.txt"
+    diff "$WORK/lane.$g.classic.txt" "$WORK/lane.$g.flat.txt" \
+        || fail "classic and flat overlay stdout differ ($g)"
+    grep -q "routability" "$WORK/lane.$g.flat.txt" \
+        || fail "lane sweep output carries no routability line ($g)"
+done
+
+echo "batch-smoke: 3/3 smoke bench batch section validates"
 BENCH_JSON=$(ls BENCH_*.json 2>/dev/null | head -n 1)
 [ -n "$BENCH_JSON" ] || fail "no BENCH_*.json (run make bench-smoke first)"
 $VALIDATE "$BENCH_JSON" || fail "bench JSON failed validation"
 grep -q '"batch"' "$BENCH_JSON" || fail "bench JSON has no batch section"
 
-echo "batch-smoke: OK (batch kernels bit-identical to the scalar router)"
+echo "batch-smoke: OK (batch kernels bit-identical to the scalar router, build lanes to the entry functions)"

@@ -26,6 +26,7 @@ let () =
       ("symphony-deployment", Test_symphony_deployment.suite);
       ("geom", Test_geom.suite);
       ("flat", Test_flat.suite);
+      ("lanes", Test_lanes.suite);
       ("batch", Test_batch.suite);
       ("storage", Test_storage.suite);
       ("loadmap", Test_loadmap.suite);

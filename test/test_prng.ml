@@ -159,6 +159,27 @@ let int_unbiased_small_bounds =
       done;
       Array.for_all Fun.id seen)
 
+(* The power-of-two fast path of [int] must return what the general
+   rejection formula returns from the same state, in the same single
+   draw: for a bound 2^k, [limit] is max62, so no draw is rejected. *)
+let int_pow2_matches_rejection =
+  qcheck ~count:500 "int: power-of-two bound = rejection formula"
+    QCheck2.Gen.(pair ui64 (int_range 0 30))
+    (fun (state, k) ->
+      let bound = 1 lsl k in
+      let fast = Prng.Splitmix.of_int64 state in
+      let reference = Prng.Splitmix.of_int64 state in
+      let max62 = (1 lsl 62) - 1 in
+      let limit = max62 - (((max62 mod bound) + 1) mod bound) in
+      let rec draw () =
+        let raw = Prng.Splitmix.next_int64 reference in
+        let v = Int64.to_int (Int64.shift_right_logical raw 2) in
+        if v <= limit then v mod bound else draw ()
+      in
+      let expected = draw () in
+      Prng.Splitmix.int fast bound = expected
+      && Prng.Splitmix.state fast = Prng.Splitmix.state reference)
+
 (* --- Zipf ------------------------------------------------------------------- *)
 
 let test_zipf_guards () =
@@ -271,6 +292,7 @@ let suite =
     ("harmonic distribution", `Quick, test_harmonic_distribution);
     harmonic_in_range;
     int_unbiased_small_bounds;
+    int_pow2_matches_rejection;
     ("zipf guards", `Quick, test_zipf_guards);
     ("zipf pmf shape", `Quick, test_zipf_pmf_shape);
     ("zipf s=0 is uniform", `Quick, test_zipf_uniform_at_s0);

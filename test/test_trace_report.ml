@@ -62,7 +62,9 @@ let test_analyze_aggregates () =
       Alcotest.(check int) "spans" 3 r.Obs.Trace_reader.span_records;
       Alcotest.(check int) "events" 4 r.Obs.Trace_reader.event_records;
       Alcotest.(check int) "heartbeats" 1 r.Obs.Trace_reader.heartbeats;
-      Alcotest.(check (float 1e-9)) "wall clock span" 3.0 r.Obs.Trace_reader.wall_s;
+      (* The first span ends at 12.0 after 2.0 s, so the run starts at
+         10.0; the last record is the heartbeat at 15.0. *)
+      Alcotest.(check (float 1e-9)) "wall clock span" 5.0 r.Obs.Trace_reader.wall_s;
       (* Spans sorted by total time descending: overlay/build (3.0 s)
          before failure/inject (0.25 s). *)
       (match r.Obs.Trace_reader.spans with
@@ -77,7 +79,8 @@ let test_analyze_aggregates () =
           Alcotest.(check string) "second span" "failure/inject" n2;
           Alcotest.(check int) "second count" 1 s2.Obs.Trace_reader.sp_count
       | other -> Alcotest.fail (Printf.sprintf "expected 2 span rows, got %d" (List.length other)));
-      (* Domains sorted by id; busy = summed span durations. *)
+      (* Domains sorted by id; busy = union of span intervals (the
+         fixture's spans do not overlap, so it equals their sum). *)
       (match r.Obs.Trace_reader.domains with
       | [ d0; d1 ] ->
           Alcotest.(check int) "domain 0 id" 0 d0.Obs.Trace_reader.dom_id;
@@ -128,6 +131,62 @@ let test_report_rendering () =
 (* A line cut off mid-record (what a SIGKILL leaves in the .tmp) must
    be a loud Corrupt by default and a counted skip with
    [allow_partial]. *)
+(* Spans are stamped when they end, so a parent span's record follows
+   its children's. A single domain running a 4 s "run" span that wraps
+   a 3 s build (itself wrapping a 1 s fill) and a 1 s route is busy 4 s,
+   not the 9 s the durations add up to; and the wall clock reaches back
+   to the run span's start, not to the first record's timestamp. *)
+let nested_lines =
+  [
+    {|{"ts": 101.0, "kind": "span", "name": "overlay/fill", "domain": 0, "dur_s": 1.0}|};
+    {|{"ts": 103.0, "kind": "span", "name": "overlay/build", "domain": 0, "dur_s": 3.0}|};
+    {|{"ts": 104.0, "kind": "span", "name": "routing/route", "domain": 0, "dur_s": 1.0}|};
+    {|{"ts": 104.0, "kind": "span", "name": "run", "domain": 0, "dur_s": 4.0}|};
+    {|{"ts": 103.5, "kind": "span", "name": "failure/sample", "domain": 1, "dur_s": 0.5}|};
+    {|{"ts": 102.0, "kind": "span", "name": "failure/sample", "domain": 1, "dur_s": 1.0}|};
+  ]
+
+let analyze_lines lines =
+  let path = Filename.temp_file "dht_rcm_test" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+      close_out oc;
+      Obs.Trace_reader.analyze (load path))
+
+let test_nested_spans_busy_union () =
+  let r = analyze_lines nested_lines in
+  match r.Obs.Trace_reader.domains with
+  | [ d0; d1 ] ->
+      Alcotest.(check int) "domain 0 spans" 4 d0.Obs.Trace_reader.dom_spans;
+      Alcotest.(check (float 1e-9)) "domain 0 busy = outer span" 4.0
+        d0.Obs.Trace_reader.dom_busy_s;
+      Alcotest.(check (float 1e-9)) "domain 1 busy = disjoint union" 1.5
+        d1.Obs.Trace_reader.dom_busy_s;
+      List.iter
+        (fun d ->
+          if d.Obs.Trace_reader.dom_busy_s > r.Obs.Trace_reader.wall_s +. 1e-9 then
+            Alcotest.failf "domain %d: busy %.3f s exceeds wall %.3f s"
+              d.Obs.Trace_reader.dom_id d.Obs.Trace_reader.dom_busy_s
+              r.Obs.Trace_reader.wall_s)
+        [ d0; d1 ]
+  | other -> Alcotest.failf "expected 2 domains, got %d" (List.length other)
+
+let test_nested_spans_wall_covers_all () =
+  let r = analyze_lines nested_lines in
+  (* Earliest start: the run span, 104.0 - 4.0; latest end: 104.0. *)
+  Alcotest.(check (float 1e-9)) "wall" 4.0 r.Obs.Trace_reader.wall_s;
+  let text = Fmt.str "%a" Obs.Trace_reader.pp_report r in
+  Alcotest.(check bool) "one domain reports 100%" true (contains_substring text "100.0%");
+  (* A single span: wall is its duration, not zero. *)
+  let single =
+    analyze_lines
+      [ {|{"ts": 7.5, "kind": "span", "name": "estimate/sweep", "domain": 0, "dur_s": 2.5}|} ]
+  in
+  Alcotest.(check (float 1e-9)) "single span wall" 2.5 single.Obs.Trace_reader.wall_s
+
 let test_partial_traces () =
   let torn = {|{"ts": 16.0, "kind": "ev|} in
   with_fixture ~extra:[ torn ] (fun path ->
@@ -350,6 +409,8 @@ let suite =
     ("trace-reader: loads records", `Quick, test_load_shape);
     ("trace-reader: aggregates", `Quick, test_analyze_aggregates);
     ("trace-reader: report rendering", `Quick, test_report_rendering);
+    ("trace-reader: nested spans, busy is the union", `Quick, test_nested_spans_busy_union);
+    ("trace-reader: wall covers every span", `Quick, test_nested_spans_wall_covers_all);
     ("trace-reader: partial traces", `Quick, test_partial_traces);
     ("trace-reader: missing field is corrupt", `Quick, test_missing_required_field);
     ("trace-reader: chrome export", `Quick, test_chrome_export);
