@@ -28,7 +28,9 @@ type t = {
   chain : bool;  (** per-distance routing chain available *)
   batch_block : bool;
       (** routed by a block driver under the batch kernel (the C lanes
-          or a registered [Block] lane) rather than the scalar lane *)
+          or a registered [Block] lane) rather than the scalar lane;
+          the hypercube's C driver routes pair by pair, so it is not
+          one *)
   sparse : bool;
       (** sparse overlay builder + sparse router + placement style
           registered — implies storage/hotspot support *)

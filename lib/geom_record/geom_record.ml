@@ -169,70 +169,14 @@ let () = Routing.Router.register_custom ~family route
 
 (* --- batch lane -----------------------------------------------------------
 
-   The router draws no randomness while forwarding, so the family can
-   opt into a Block lane: the same walk compiled against the CSR
-   arrays directly (Int32 target loads, packed-bitset liveness, slice
-   bumps at the scalar counting points). Bit-identity with the scalar
-   lane is pinned by the registry-driven batch differential test. *)
-
-let block ~group : Routing.Route_batch.block_router =
- fun targets words offsets srcs dsts n hops_buf stuck_buf bits _degree trav term ->
-  let b = 1 lsl group in
-  let digits = bits / group in
-  let is_alive v =
-    Bigarray.Array1.unsafe_get words (v lsr 5) lsr (v land 31) land 1 <> 0
-  in
-  let neighbor cur slot =
-    Int32.to_int
-      (Bigarray.Array1.unsafe_get targets (Bigarray.Array1.unsafe_get offsets cur + slot))
-  in
-  let bump buf v =
-    if Bigarray.Array1.dim buf > 0 then
-      Bigarray.Array1.unsafe_set buf v (Bigarray.Array1.unsafe_get buf v + 1)
-  in
-  for k = 0 to n - 1 do
-    let dst = Array.unsafe_get dsts k in
-    let rec step cur hops =
-      if cur = dst then begin
-        bump term dst;
-        Bigarray.Array1.unsafe_set hops_buf k hops;
-        Bigarray.Array1.unsafe_set stuck_buf k (-1)
-      end
-      else begin
-        let leading =
-          match Idspace.Digit.highest_differing ~bits ~group cur dst with
-          | Some level -> level
-          | None -> assert false
-        in
-        let rec try_level level =
-          if level > digits then None
-          else begin
-            let own = Idspace.Digit.get ~bits ~group cur level in
-            let want = Idspace.Digit.get ~bits ~group dst level in
-            if own = want then try_level (level + 1)
-            else begin
-              let rank = (want - own + b) mod b in
-              let candidate = neighbor cur (((level - 1) * (b - 1)) + rank - 1) in
-              if is_alive candidate then Some candidate else try_level (level + 1)
-            end
-          end
-        in
-        match try_level leading with
-        | None ->
-            bump term cur;
-            Bigarray.Array1.unsafe_set hops_buf k hops;
-            Bigarray.Array1.unsafe_set stuck_buf k cur
-        | Some next ->
-            bump trav next;
-            step next (hops + 1)
-      end
-    in
-    step (Array.unsafe_get srcs k) 0
-  done
+   The router draws no randomness while forwarding and its slot layout
+   is the built-in digits lane's, so the family routes through the same
+   C driver as xor at its own digit width. Bit-identity with the scalar
+   lane is pinned by the batch differential tests. *)
 
 let () =
   Routing.Route_batch.register_custom_lane ~family (fun params ->
-      Routing.Route_batch.Block (block ~group:(group_of params)))
+      Routing.Route_batch.Block (Routing.Route_batch.digits_block ~group:(group_of params)))
 
 (* --- sparse overlay -------------------------------------------------------
 

@@ -37,13 +37,7 @@
 #include <math.h>
 #include <stdint.h>
 
-static inline uint64_t splitmix_next(uint64_t *state)
-{
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
+#include "splitmix64.h"
 
 static void out_of_range(intnat u, intnat nodes)
 {

@@ -1,25 +1,29 @@
-(* Batched branch-free routing over the flat CSR backend.
+(* Batched routing over the flat CSR backend.
 
    The scalar [Router.route] pays, on every hop, for geometry dispatch,
    a closure-based neighbour iteration and a [repr] match inside every
    [Overlay.Table] accessor. At 2^20 nodes that caps the whole engine
-   at ~100k routes/s. The kernels below route an entire pair set
-   through one monomorphic int loop per geometry: neighbour lookups
-   are direct loads from the CSR [offsets]/[targets] Bigarrays,
-   liveness is one load + shift + mask against the packed
-   {!Overlay.Bitset} words, and per-pair results land in reusable
-   off-heap scratch buffers — zero allocation per hop, and one metrics
-   flush per batch instead of one per route.
+   at ~100k routes/s. Here an entire pair set goes through one C
+   driver per geometry (route_batch_stubs.c): neighbour lookups are
+   direct loads from the CSR [offsets]/[targets] Bigarrays, liveness is
+   one load + shift + mask against the packed {!Overlay.Bitset} words,
+   and per-pair results land in reusable off-heap scratch buffers —
+   zero allocation per hop, and one metrics flush per batch instead of
+   one per route. This module keeps the geometry dispatch, argument
+   validation, scratch ownership, metrics and the {!Scalar} lane of
+   custom families.
 
    Bit-identity contract (pinned by [test/test_batch.ml] and the CLI
    byte-identity checks): for every geometry the kernel visits
    candidates in exactly the scalar router's order and consumes PRNG
    draws in exactly the scalar order, so outcomes, hop counts, stuck
    nodes and the post-batch rng state are equal to the scalar path's.
-   [sample_and_route] additionally inlines [Stats.Sampler.ordered_pair]
-   draw-for-draw, because the hypercube router consumes randomness
-   while routing: pair sampling and routing draws must interleave
-   exactly as in the scalar trial loop. *)
+   The rng-free geometries draw nothing while routing, so
+   [sample_and_route] samples every pair first
+   ([Stats.Sampler.ordered_pair] inlined draw-for-draw) and routes the
+   block afterwards. The hypercube router draws on every hop, so its C
+   driver samples and routes pair by pair on an unboxed copy of the
+   SplitMix64 state and hands the post-batch state back. *)
 
 type offsets = Overlay.Flat.offsets
 type targets = Overlay.Flat.targets
@@ -33,102 +37,17 @@ let set_enabled b = Atomic.set enabled_flag b
 
 let enabled () = Atomic.get enabled_flag
 
-(* --- result encoding ------------------------------------------------------ *)
-
-(* One immediate int per routed pair: low 32 bits carry the hop count,
-   the bits above carry [stuck_at + 1] (0 = delivered). Hop counts and
-   node ids are < 2^30 ({!Idspace.Space.max_bits}), so the packed value
-   fits a 63-bit int with room to spare. *)
-
-let[@inline] delivered_result hops = hops
-
-let[@inline] dropped_result cur hops = ((cur + 1) lsl 32) lor hops
-
-(* --- branch-light primitives ---------------------------------------------- *)
-
-(* floor(log2 x) for 0 < x < 2^30 as a shift cascade (no loop-carried
-   data dependence, no table). *)
-let[@inline] floor_log2 x =
-  let r = if x >= 0x10000 then 16 else 0 in
-  let x = x lsr r in
-  let s = if x >= 0x100 then 8 else 0 in
-  let x = x lsr s in
-  let r = r + s in
-  let s = if x >= 0x10 then 4 else 0 in
-  let x = x lsr s in
-  let r = r + s in
-  let s = if x >= 4 then 2 else 0 in
-  let x = x lsr s in
-  let r = r + s in
-  r + (x lsr 1)
-
-let[@inline] is_alive (words : words) v =
-  Bigarray.Array1.unsafe_get words (v lsr 5) lsr (v land 31) land 1 <> 0
-
-let[@inline] neighbor_at (targets : targets) k =
-  Int32.to_int (Bigarray.Array1.unsafe_get targets k)
-
-let[@inline] row_start (offsets : offsets) v = Bigarray.Array1.unsafe_get offsets v
-
-(* --- hypercube (the one geometry routed in OCaml) ------------------------- *)
-
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Loadmap counter bump, compiled away to one length test when the
-   zero-length "telemetry off" buffer is installed — the OCaml twin of
-   the NULL-pointer guard in the C drivers. Indices are node ids of the
-   routed table, in range by construction. *)
-let[@inline] bump (b : buf) v =
-  if Bigarray.Array1.dim b > 0 then
-    Bigarray.Array1.unsafe_set b v (Bigarray.Array1.unsafe_get b v + 1)
-
-(* Hypercube (CAN, scalar [Hypercube_router]): uniform reservoir over
-   the alive neighbours correcting a differing bit, scanning set bits
-   of [diff] lowest-first and drawing [Splitmix.int rng seen] per alive
-   candidate — draw-for-draw the scalar sequence. Traversals are
-   counted at the accepted hop (the reservoir winner the walk moves
-   to), terminations where the walk ends, matching the scalar Router
-   hook and the C drivers. *)
-let rec hypercube_pair (offsets : offsets) (targets : targets) (words : words) ~bits ~rng
-    ~trav ~term ~dst cur hops =
-  if cur = dst then begin
-    bump term dst;
-    delivered_result hops
-  end
-  else
-    hypercube_scan offsets targets words ~bits ~rng ~trav ~term ~dst cur hops
-      (cur lxor dst) (-1) 0
-
-and hypercube_scan (offsets : offsets) (targets : targets) (words : words) ~bits ~rng
-    ~trav ~term ~dst cur hops bit chosen seen =
-  if bit = 0 then
-    if chosen < 0 then begin
-      bump term cur;
-      dropped_result cur hops
-    end
-    else begin
-      bump trav chosen;
-      hypercube_pair offsets targets words ~bits ~rng ~trav ~term ~dst chosen (hops + 1)
-    end
-  else begin
-    let low = bit land -bit in
-    let cand = neighbor_at targets (row_start offsets cur + bits - 1 - floor_log2 low) in
-    let rest = bit land (bit - 1) in
-    if is_alive words cand then begin
-      let seen = seen + 1 in
-      let chosen = if Prng.Splitmix.int rng seen = 0 then cand else chosen in
-      hypercube_scan offsets targets words ~bits ~rng ~trav ~term ~dst cur hops rest chosen
-        seen
-    end
-    else
-      hypercube_scan offsets targets words ~bits ~rng ~trav ~term ~dst cur hops rest chosen
-        seen
-  end
 
 (* --- per-domain scratch --------------------------------------------------- *)
 
+(* Every buffer a C driver reads or writes is off-heap, so the drivers
+   can release the domain lock while they run (see the stub file). *)
 type scratch = {
   mutable cap : int;
+  mutable src_buf : buf;  (* pair k's source and destination *)
+  mutable dst_buf : buf;
+  mutable pool_buf : buf;  (* the sampling pool of the last batch *)
   mutable hops_buf : buf;
   mutable stuck_buf : buf;  (* stuck node id, -1 when delivered *)
   mutable count : int;  (* pairs routed by the last batch *)
@@ -141,11 +60,16 @@ type scratch = {
   mutable hist_used : int;
 }
 
-let empty_buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+let create_buf n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+let empty_buf = create_buf 0
 
 let create_scratch () =
   {
     cap = 0;
+    src_buf = empty_buf;
+    dst_buf = empty_buf;
+    pool_buf = empty_buf;
     hops_buf = empty_buf;
     stuck_buf = empty_buf;
     count = 0;
@@ -162,8 +86,10 @@ let domain_scratch () = Domain.DLS.get scratch_key
 let prepare s n =
   if n > s.cap then begin
     let cap = max n (max 1024 (2 * s.cap)) in
-    s.hops_buf <- Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap;
-    s.stuck_buf <- Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap;
+    s.src_buf <- create_buf cap;
+    s.dst_buf <- create_buf cap;
+    s.hops_buf <- create_buf cap;
+    s.stuck_buf <- create_buf cap;
     s.cap <- cap
   end;
   Array.fill s.hist 0 s.hist_used 0;
@@ -172,22 +98,19 @@ let prepare s n =
   s.delivered <- 0;
   s.dropped <- 0
 
-let[@inline] store s k r =
-  let hops = r land 0xFFFF_FFFF in
-  let stuck = (r lsr 32) - 1 in
-  Bigarray.Array1.unsafe_set s.hops_buf k hops;
-  Bigarray.Array1.unsafe_set s.stuck_buf k stuck;
-  if stuck < 0 then begin
-    s.delivered <- s.delivered + 1;
-    if hops >= Array.length s.hist then begin
-      let grown = Array.make (2 * max (Array.length s.hist) (hops + 1)) 0 in
-      Array.blit s.hist 0 grown 0 s.hist_used;
-      s.hist <- grown
-    end;
-    s.hist.(hops) <- s.hist.(hops) + 1;
-    if hops >= s.hist_used then s.hist_used <- hops + 1
-  end
-  else s.dropped <- s.dropped + 1
+(* Copies [pool] into [pool_buf] for the C samplers. Every driver
+   indexes the table by pool member without a bounds check, so this is
+   also where an out-of-range member is rejected, once per batch. *)
+let load_pool s pool ~nodes =
+  let n = Array.length pool in
+  if n > Bigarray.Array1.dim s.pool_buf then s.pool_buf <- create_buf (max 1024 (2 * n));
+  Array.iteri
+    (fun i v ->
+      if v < 0 || v >= nodes then
+        invalid_arg
+          (Printf.sprintf "Route_batch.sample_and_route: pool member %d outside [0, %d)" v nodes);
+      Bigarray.Array1.unsafe_set s.pool_buf i v)
+    pool
 
 (* --- scratch accessors ---------------------------------------------------- *)
 
@@ -259,33 +182,31 @@ let flush_metrics geometry s =
     end
   end
 
-(* --- batched lane drivers (C) --------------------------------------------- *)
+(* --- C drivers ------------------------------------------------------------- *)
 
-(* The rng-free geometries (tree, xor, ring/symphony) route whole pair
-   blocks through per-geometry lane drivers in route_batch_stubs.c:
-   many independent routes in flight, one software-prefetched hop per
-   lane per round, results written straight into the scratch buffers
-   ([stuck = -1] when delivered, else the stuck node id). See the stub
-   file's header for why the hot loop is C (memory-level parallelism
-   needs prefetches that retire and hops of a few instructions) and for
-   the bit-identity contract. Lane interleaving is invisible in the
-   results: each pair still visits candidates in the scalar order — or
-   an order-insensitive equivalent — these geometries consume no
-   randomness while routing, and results are indexed by pair, not by
-   completion order. The hypercube router draws from the PRNG on every
-   hop, so it keeps the sequential OCaml loop above.
+(* The rng-free geometries (tree, xor and ReCord digits, ring/symphony)
+   route whole pair blocks through lane drivers: many independent
+   routes in flight, one software-prefetched hop per lane per round,
+   results written straight into the scratch buffers ([stuck = -1] when
+   delivered, else the stuck node id). See the stub file's header for
+   why the hot loop is C and for the bit-identity contract. Lane
+   interleaving is invisible in the results: each pair still visits
+   candidates in the scalar order — or an order-insensitive equivalent
+   — these geometries consume no randomness while routing, and results
+   are indexed by pair, not by completion order.
 
-   Arguments: targets, alive words, offsets, srcs, dsts, pair count,
-   hops out, stuck out, bits (distance mask for ring), uniform degree
-   (-1 when ragged), and the loadmap traversal / termination counter
-   slices (zero-length = telemetry off). *)
+   Lane arguments: targets, alive words, offsets, srcs, dsts, pair
+   count, hops out, stuck out, bits (distance mask for ring), [group]
+   for the digits lane only, uniform degree (-1 when ragged), and the
+   loadmap traversal / termination counter slices (zero-length =
+   telemetry off). *)
 
 external route_block_tree :
   targets ->
   words ->
   offsets ->
-  int array ->
-  int array ->
+  buf ->
+  buf ->
   int ->
   buf ->
   buf ->
@@ -294,30 +215,29 @@ external route_block_tree :
   buf ->
   buf ->
   unit = "rcm_route_tree_bc" "rcm_route_tree"
-[@@noalloc]
 
-external route_block_xor :
+external route_block_digits :
   targets ->
   words ->
   offsets ->
-  int array ->
-  int array ->
-  int ->
   buf ->
   buf ->
   int ->
+  buf ->
+  buf ->
+  int ->
+  int ->
   int ->
   buf ->
   buf ->
-  unit = "rcm_route_xor_bc" "rcm_route_xor"
-[@@noalloc]
+  unit = "rcm_route_digits_bc" "rcm_route_digits"
 
 external route_block_ring :
   targets ->
   words ->
   offsets ->
-  int array ->
-  int array ->
+  buf ->
+  buf ->
   int ->
   buf ->
   buf ->
@@ -326,10 +246,55 @@ external route_block_ring :
   buf ->
   buf ->
   unit = "rcm_route_ring_bc" "rcm_route_ring"
-[@@noalloc]
 
-(* Fold a C-routed block into the batch totals — the counterpart of
-   [store], which does this per pair on the OCaml hypercube path. *)
+(* The hypercube drivers take the rng state unboxed and return the
+   post-batch state, which the caller writes back with
+   [Splitmix.set_state]. [route_hypercube] routes [srcs]/[dsts];
+   [sample_route_hypercube] draws [pairs] ordered pairs from the first
+   [npool] entries of the pool buffer and routes each as it is drawn.
+   Remaining arguments as for the lanes. *)
+
+external route_hypercube :
+  targets ->
+  words ->
+  offsets ->
+  buf ->
+  buf ->
+  int ->
+  buf ->
+  buf ->
+  int ->
+  int ->
+  buf ->
+  buf ->
+  (int64[@unboxed]) ->
+  (int64[@unboxed]) = "rcm_route_hypercube_bc" "rcm_route_hypercube"
+
+external sample_route_hypercube :
+  targets ->
+  words ->
+  offsets ->
+  buf ->
+  int ->
+  int ->
+  buf ->
+  buf ->
+  int ->
+  int ->
+  buf ->
+  buf ->
+  (int64[@unboxed]) ->
+  (int64[@unboxed]) = "rcm_sample_route_hypercube_bc" "rcm_sample_route_hypercube"
+
+(* Draws [pairs] ordered pairs of distinct entries of the pool buffer's
+   first [npool] into [srcs]/[dsts], draw-for-draw
+   [Stats.Sampler.ordered_pair], and returns the post-batch state — the
+   lanes' pair sampler. *)
+external sample_pairs :
+  buf -> int -> int -> buf -> buf -> (int64[@unboxed]) -> (int64[@unboxed])
+  = "rcm_sample_pairs_bc" "rcm_sample_pairs"
+
+(* Fold a routed block into the batch totals. *)
 let tally s n =
   for k = 0 to n - 1 do
     if Bigarray.Array1.unsafe_get s.stuck_buf k < 0 then begin
@@ -346,25 +311,18 @@ let tally s n =
     else s.dropped <- s.dropped + 1
   done
 
-(* --- custom-family lanes --------------------------------------------------- *)
+(* --- lanes ----------------------------------------------------------------- *)
 
-(* How a custom family routes under the batch engine. [Scalar] (the
-   default when a family registers no lane) drives the family's
-   registered scalar router pair by pair, interleaving pair-sampling
-   draws with any forwarding draws — bit-identical to the scalar trial
-   loop for every router, including randomized ones, at scalar speed.
-   [Block] is the opt-in fast path: a driver with the same signature
-   as the built-in C lanes, valid only for rng-free routers (the block
-   runs after all pairs are sampled). The [int] argument in [bits]
-   position is lane-defined, exactly as the ring lane passes a
-   distance mask there — a plugin driver can pack extra static
-   parameters into it inside its closure. *)
+(* A block driver with the lane drivers' calling convention. The [int]
+   argument in [bits] position is lane-defined, exactly as the ring
+   lane passes a distance mask there — a plugin driver can pack extra
+   static parameters into it inside its closure. *)
 type block_router =
   targets ->
   words ->
   offsets ->
-  int array ->
-  int array ->
+  buf ->
+  buf ->
   int ->
   buf ->
   buf ->
@@ -374,6 +332,27 @@ type block_router =
   buf ->
   unit
 
+let digits_block ~group =
+  if group < 1 then invalid_arg "Route_batch.digits_block: group must be >= 1";
+  fun targets words offsets srcs dsts n hops_buf stuck_buf bits deg trav term ->
+    if bits mod group <> 0 then
+      invalid_arg
+        (Printf.sprintf "Route_batch.digits_block: group %d does not divide bits = %d" group
+           bits);
+    route_block_digits targets words offsets srcs dsts n hops_buf stuck_buf bits group deg trav
+      term
+
+let ring_block targets words offsets srcs dsts n hops_buf stuck_buf bits deg trav term =
+  route_block_ring targets words offsets srcs dsts n hops_buf stuck_buf ((1 lsl bits) - 1) deg
+    trav term
+
+(* How a custom family routes under the batch engine. [Scalar] (the
+   default when a family registers no lane) drives the family's
+   registered scalar router pair by pair, interleaving pair-sampling
+   draws with any forwarding draws — bit-identical to the scalar trial
+   loop for every router, including randomized ones, at scalar speed.
+   [Block] is the opt-in fast path, valid only for rng-free routers
+   (the block runs after all pairs are sampled). *)
 type lane = Scalar | Block of block_router
 
 let custom_lanes : (string, (string * int) list -> lane) Hashtbl.t = Hashtbl.create 8
@@ -384,31 +363,51 @@ let register_custom_lane ~family resolve =
       (Printf.sprintf "Route_batch.register_custom_lane: %S already registered" family);
   Hashtbl.replace custom_lanes family resolve
 
-let custom_lane ~family params =
-  match Hashtbl.find_opt custom_lanes family with
-  | Some resolve -> resolve params
-  | None -> Scalar
+(* One pair through a family's scalar router into result slot [k],
+   with the batch path's loadmap accounting (bumps on the calling
+   domain's slices at the C drivers' counting points). Metrics are NOT
+   recorded here — the caller flushes once per batch. *)
+let scalar_custom_pair s k (router : Router.custom_router) table ~rng ~alive ~trav ~term ~src
+    ~dst =
+  let bump (b : buf) v =
+    if Bigarray.Array1.dim b > 0 then
+      Bigarray.Array1.unsafe_set b v (Bigarray.Array1.unsafe_get b v + 1)
+  in
+  let hops, stuck =
+    match router ~on_hop:(bump trav) table ~rng ~alive ~src ~dst with
+    | Outcome.Delivered { hops } -> (hops, -1)
+    | Outcome.Dropped { hops; stuck_at } -> (hops, stuck_at)
+  in
+  bump term (if stuck < 0 then dst else stuck);
+  Bigarray.Array1.unsafe_set s.hops_buf k hops;
+  Bigarray.Array1.unsafe_set s.stuck_buf k stuck
 
-let custom_router_exn ~family context =
+(* What routes a table: a block lane (every rng-free geometry), the
+   hypercube drivers, or a custom family's scalar router. *)
+type kernel = Lane of block_router | Hypercube | Scalar_router of Router.custom_router
+
+let xor_block = digits_block ~group:1
+
+let scalar_kernel family context =
   match Router.find_custom family with
-  | Some router -> router
+  | Some router -> Scalar_router router
   | None ->
       invalid_arg
         (Printf.sprintf "Route_batch.%s: family %S has no registered router" context family)
 
-(* One pair through a family's scalar router, with the batch path's
-   loadmap accounting (bumps on the calling domain's slices, exactly
-   like the C drivers) and the packed result encoding. Metrics are NOT
-   recorded here — the caller flushes once per batch. *)
-let scalar_custom_pair (router : Router.custom_router) table ~rng ~alive ~trav ~term ~src
-    ~dst =
-  match router ~on_hop:(fun v -> bump trav v) table ~rng ~alive ~src ~dst with
-  | Outcome.Delivered { hops } ->
-      bump term dst;
-      delivered_result hops
-  | Outcome.Dropped { hops; stuck_at } ->
-      bump term stuck_at;
-      dropped_result stuck_at hops
+let kernel_of table context =
+  match Overlay.Table.geometry table with
+  | Rcm.Geometry.Tree -> Lane route_block_tree
+  | Rcm.Geometry.Xor -> Lane xor_block
+  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> Lane ring_block
+  | Rcm.Geometry.Hypercube -> Hypercube
+  | Rcm.Geometry.Custom { family; params } -> (
+      match Hashtbl.find_opt custom_lanes family with
+      | Some resolve -> (
+          match resolve params with
+          | Block block -> Lane block
+          | Scalar -> scalar_kernel family context)
+      | None -> scalar_kernel family context)
 
 (* --- drivers -------------------------------------------------------------- *)
 
@@ -427,8 +426,7 @@ let mask_words ~table ~alive context =
 
 (* The calling domain's loadmap slices, or the zero-length "off"
    buffers when no sink is installed — what the C drivers decode to
-   NULL and [bump] to a length test. Looked up once per batch, not per
-   hop. *)
+   NULL. Looked up once per batch, not per hop. *)
 let loadmap_slices ~table context =
   match Obs.Loadmap.sink () with
   | None -> (empty_buf, empty_buf)
@@ -452,54 +450,32 @@ let route_many ?scratch table ~rng ~alive pairs =
       Idspace.Space.check space src;
       Idspace.Space.check space dst)
     pairs;
+  let kernel = kernel_of table "route_many" in
   let offsets = Overlay.Flat.offsets flat in
   let targets = Overlay.Flat.targets flat in
   let bits = Overlay.Table.bits table in
+  let deg = Overlay.Flat.uniform_degree flat in
   let n = Array.length pairs in
   let trav, term = loadmap_slices ~table "route_many" in
   let s = match scratch with Some s -> s | None -> domain_scratch () in
   prepare s n;
-  (match Overlay.Table.geometry table with
-  | Rcm.Geometry.Hypercube ->
-      for k = 0 to n - 1 do
-        let src, dst = Array.unsafe_get pairs k in
-        store s k (hypercube_pair offsets targets words ~bits ~rng ~trav ~term ~dst src 0)
-      done
-  | Rcm.Geometry.Custom { family; params } -> (
-      match custom_lane ~family params with
-      | Scalar ->
-          let router = custom_router_exn ~family "route_many" in
-          for k = 0 to n - 1 do
-            let src, dst = Array.unsafe_get pairs k in
-            store s k (scalar_custom_pair router table ~rng ~alive ~trav ~term ~src ~dst)
-          done
-      | Block block ->
-          let srcs = Array.map fst pairs in
-          let dsts = Array.map snd pairs in
-          block targets words offsets srcs dsts n s.hops_buf s.stuck_buf bits
-            (Overlay.Flat.uniform_degree flat) trav term;
-          tally s n)
-  | geometry ->
-      let srcs = Array.make n 0 in
-      let dsts = Array.make n 0 in
+  Array.iteri
+    (fun k (src, dst) ->
+      Bigarray.Array1.unsafe_set s.src_buf k src;
+      Bigarray.Array1.unsafe_set s.dst_buf k dst)
+    pairs;
+  (match kernel with
+  | Lane block ->
+      block targets words offsets s.src_buf s.dst_buf n s.hops_buf s.stuck_buf bits deg trav term
+  | Hypercube ->
+      Prng.Splitmix.set_state rng
+        (route_hypercube targets words offsets s.src_buf s.dst_buf n s.hops_buf s.stuck_buf bits
+           deg trav term (Prng.Splitmix.state rng))
+  | Scalar_router router ->
       Array.iteri
-        (fun k (src, dst) ->
-          Array.unsafe_set srcs k src;
-          Array.unsafe_set dsts k dst)
-        pairs;
-      let deg = Overlay.Flat.uniform_degree flat in
-      (match geometry with
-      | Rcm.Geometry.Tree ->
-          route_block_tree targets words offsets srcs dsts n s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Xor ->
-          route_block_xor targets words offsets srcs dsts n s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ ->
-          route_block_ring targets words offsets srcs dsts n s.hops_buf s.stuck_buf
-            ((1 lsl bits) - 1) deg trav term
-      | Rcm.Geometry.Hypercube | Rcm.Geometry.Custom _ -> assert false);
-      tally s n);
+        (fun k (src, dst) -> scalar_custom_pair s k router table ~rng ~alive ~trav ~term ~src ~dst)
+        pairs);
+  tally s n;
   flush_metrics (Overlay.Table.geometry table) s;
   s
 
@@ -509,81 +485,44 @@ let sample_and_route ?scratch table ~rng ~alive ~pool ~pairs =
   let npool = Array.length pool in
   if npool < 2 then invalid_arg "Route_batch.sample_and_route: pool smaller than 2";
   if pairs < 0 then invalid_arg "Route_batch.sample_and_route: negative pair count";
+  let s = match scratch with Some s -> s | None -> domain_scratch () in
+  load_pool s pool ~nodes:(Overlay.Table.node_count table);
+  let kernel = kernel_of table "sample_and_route" in
   let offsets = Overlay.Flat.offsets flat in
   let targets = Overlay.Flat.targets flat in
   let bits = Overlay.Table.bits table in
+  let deg = Overlay.Flat.uniform_degree flat in
   let trav, term = loadmap_slices ~table "sample_and_route" in
-  let s = match scratch with Some s -> s | None -> domain_scratch () in
   prepare s pairs;
-  (* Pair sampling inlined from [Stats.Sampler.ordered_pair]: first
-     draw is the source index, then rejection-draw a distinct
-     destination index. Keeping it inside the batch loop preserves the
-     scalar interleaving of sampling draws with the hypercube router's
-     forwarding draws. *)
-  let rec draw_distinct i =
-    let j = Prng.Splitmix.int rng npool in
-    if j = i then draw_distinct i else j
-  in
-  (match Overlay.Table.geometry table with
-  | Rcm.Geometry.Hypercube ->
-      (* The hypercube router draws while routing, so sampling and
-         forwarding draws must interleave pair by pair — no lanes. *)
+  (match kernel with
+  | Lane block ->
+      (* Lanes consume no randomness while routing, so the scalar draw
+         sequence — sample pair k, route pair k — is exactly reproduced
+         by sampling every pair first and routing the block after. *)
+      Prng.Splitmix.set_state rng
+        (sample_pairs s.pool_buf npool pairs s.src_buf s.dst_buf (Prng.Splitmix.state rng));
+      block targets words offsets s.src_buf s.dst_buf pairs s.hops_buf s.stuck_buf bits deg trav
+        term
+  | Hypercube ->
+      Prng.Splitmix.set_state rng
+        (sample_route_hypercube targets words offsets s.pool_buf npool pairs s.hops_buf
+           s.stuck_buf bits deg trav term (Prng.Splitmix.state rng))
+  | Scalar_router router ->
+      (* The scalar lane interleaves sampling and routing pair by pair
+         — the scalar trial loop's draw order for any router,
+         randomized ones included. Pair sampling is inlined from
+         [Stats.Sampler.ordered_pair]: the source index, then
+         rejection-draw a distinct destination index. *)
+      let rec draw_distinct i =
+        let j = Prng.Splitmix.int rng npool in
+        if j = i then draw_distinct i else j
+      in
       for k = 0 to pairs - 1 do
         let i = Prng.Splitmix.int rng npool in
         let src = Array.unsafe_get pool i in
         let dst = Array.unsafe_get pool (draw_distinct i) in
-        store s k (hypercube_pair offsets targets words ~bits ~rng ~trav ~term ~dst src 0)
-      done
-  | Rcm.Geometry.Custom { family; params } -> (
-      match custom_lane ~family params with
-      | Scalar ->
-          (* The default lane interleaves sampling and routing pair by
-             pair — the scalar trial loop's draw order for any router,
-             randomized ones included. *)
-          let router = custom_router_exn ~family "sample_and_route" in
-          for k = 0 to pairs - 1 do
-            let i = Prng.Splitmix.int rng npool in
-            let src = Array.unsafe_get pool i in
-            let dst = Array.unsafe_get pool (draw_distinct i) in
-            store s k (scalar_custom_pair router table ~rng ~alive ~trav ~term ~src ~dst)
-          done
-      | Block block ->
-          (* Block lanes declare themselves rng-free, so sampling every
-             pair first reproduces the scalar draw sequence. *)
-          let srcs = Array.make pairs 0 in
-          let dsts = Array.make pairs 0 in
-          for k = 0 to pairs - 1 do
-            let i = Prng.Splitmix.int rng npool in
-            Array.unsafe_set srcs k (Array.unsafe_get pool i);
-            Array.unsafe_set dsts k (Array.unsafe_get pool (draw_distinct i))
-          done;
-          block targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf bits
-            (Overlay.Flat.uniform_degree flat) trav term;
-          tally s pairs)
-  | geometry ->
-      (* These geometries consume no randomness while routing, so the
-         scalar draw sequence — sample pair k, route pair k — is
-         exactly reproduced by sampling every pair first and routing
-         the block through the lane driver afterwards. *)
-      let srcs = Array.make pairs 0 in
-      let dsts = Array.make pairs 0 in
-      for k = 0 to pairs - 1 do
-        let i = Prng.Splitmix.int rng npool in
-        Array.unsafe_set srcs k (Array.unsafe_get pool i);
-        Array.unsafe_set dsts k (Array.unsafe_get pool (draw_distinct i))
-      done;
-      let deg = Overlay.Flat.uniform_degree flat in
-      (match geometry with
-      | Rcm.Geometry.Tree ->
-          route_block_tree targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Xor ->
-          route_block_xor targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ ->
-          route_block_ring targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf
-            ((1 lsl bits) - 1) deg trav term
-      | Rcm.Geometry.Hypercube | Rcm.Geometry.Custom _ -> assert false);
-      tally s pairs);
+        scalar_custom_pair s k router table ~rng ~alive ~trav ~term ~src ~dst
+      done);
+  tally s pairs;
   flush_metrics (Overlay.Table.geometry table) s;
   s

@@ -16,9 +16,13 @@
     published number. {!sample_and_route} additionally inlines
     [Stats.Sampler.ordered_pair] draw-for-draw so pair-sampling and
     hypercube forwarding draws interleave exactly as in the scalar
-    trial loop. Metrics are aggregated in scratch and flushed once per
-    batch; the resulting [--metrics] totals are equal (not just close)
-    to the scalar path's.
+    trial loop: the hypercube's C driver samples and routes pair by
+    pair on an unboxed copy of the SplitMix64 state and hands the
+    post-batch state back, while every other geometry draws nothing
+    while routing, so its pairs are all sampled before one lane call.
+    Metrics are aggregated in scratch and flushed once per batch; the
+    resulting [--metrics] totals are equal (not just close) to the
+    scalar path's.
 
     {1 Load telemetry}
 
@@ -85,8 +89,8 @@ val sample_and_route :
     scalar [Sampler.ordered_pair] sequence) and routes each as it is
     drawn — one kernel call per trial for the simulation layers.
     @raise Invalid_argument if the backend is not [Flat], the mask
-    length mismatches, [pool] has fewer than two members, or [pairs]
-    is negative. *)
+    length mismatches, [pool] has fewer than two members or a member
+    outside [\[0, node_count)], or [pairs] is negative. *)
 
 (** {1 Reading results}
 
@@ -136,8 +140,8 @@ type block_router =
   Overlay.Flat.targets ->
   Overlay.Bitset.words ->
   Overlay.Flat.offsets ->
-  int array ->
-  int array ->
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
   int ->
   (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
   (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
@@ -148,7 +152,10 @@ type block_router =
   unit
 (** A block driver with the built-in C lanes' calling convention:
     [targets alive_words offsets srcs dsts n hops_out stuck_out bits
-    degree trav term]. It must route pair [k] with the scalar router's
+    degree trav term]. Pair [k] is [(srcs.{k}, dsts.{k})] for
+    [k < n]; the pair and result buffers are the scratch's off-heap
+    buffers, so a C driver may release the domain lock while it runs.
+    It must route pair [k] with the scalar router's
     candidate order (lane interleaving must be invisible in results),
     write [stuck_out.(k) = -1] on delivery or the stuck node id
     otherwise, and bump the [trav]/[term] loadmap slices at the scalar
@@ -159,6 +166,17 @@ type block_router =
     whose router draws no randomness while forwarding. *)
 
 type lane = Scalar | Block of block_router
+
+val digits_block : group:int -> block_router
+(** The built-in digit lane, the one the [Xor] geometry routes through
+    at [group = 1]: greedy correction of base-[2^group] digits, the
+    most significant differing digit first, falling back digit by
+    digit; the contact adding [rank] to the digit at [level] (1 = most
+    significant) sits at slot [(level - 1)(2^group - 1) + rank - 1] and
+    the first alive candidate wins. A family whose tables use that
+    layout (ReCord) registers [Block (digits_block ~group)].
+    @raise Invalid_argument if [group < 1]; the driver raises it when
+    [group] does not divide the table's [bits]. *)
 
 val register_custom_lane : family:string -> ((string * int) list -> lane) -> unit
 (** Registers how a family resolves its lane from its parameters.

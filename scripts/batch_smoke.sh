@@ -4,9 +4,11 @@
 #   1. Identity: a flat-backend sweep routed through the batch kernels
 #      must produce stdout byte-identical to the same sweep with
 #      --no-batch (the scalar router), per geometry and at both one and
-#      several worker domains. This is the bit-identity contract the
-#      kernels are built around — same outcomes, hop counts and PRNG
-#      draws, so the batch path is a pure speed-up, never a fork.
+#      several worker domains — the five built-ins plus ReCord at two
+#      digit widths, which route through the built-in digits lane. This
+#      is the bit-identity contract the kernels are built around — same
+#      outcomes, hop counts and PRNG draws, so the batch path is a pure
+#      speed-up, never a fork.
 #   2. Build lanes: the classic backend builds every table from the
 #      geometry's OCaml entry function, the flat backend from a C build
 #      lane on the same SplitMix64 stream. A simulate sweep must print
@@ -37,7 +39,7 @@ fail() {
 }
 
 echo "batch-smoke: 1/3 batch vs scalar byte-identity (flat backend)"
-for g in ring xor tree hypercube symphony; do
+for g in ring xor tree hypercube symphony record:h=4 record:h=16; do
     for jobs in 1 2; do
         ARGS="simulate -g $g -d 8 -q 0.25 --trials 2 --pairs 80 \
               --seed 42 --overlay flat --jobs $jobs"

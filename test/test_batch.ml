@@ -10,6 +10,23 @@
    registering its descriptor. *)
 let all_geometries = List.map (fun d -> d.Geom.default) (Geom.all ())
 
+(* The registry default record:h=2 routes draw-for-draw like xor, so
+   the differential matrices add wider ReCord digits, where the digits
+   lane's rank and slot arithmetic actually runs. *)
+let matrix_geometries =
+  all_geometries @ List.map (fun h -> Geom_record.geometry ~h ()) [ 4; 8; 16 ]
+
+(* [bits] rounded up to a multiple of the geometry's digit width, as
+   ReCord tables require. *)
+let bits_for geometry bits =
+  match geometry with
+  | Rcm.Geometry.Custom { family = "record"; params } ->
+      let h = List.assoc "h" params in
+      let rec log2 x = if x <= 1 then 0 else 1 + log2 (x lsr 1) in
+      let group = log2 h in
+      (bits + group - 1) / group * group
+  | _ -> bits
+
 let outcome = Alcotest.testable Routing.Outcome.pp Routing.Outcome.equal
 
 let flat_table ~seed ~bits geometry =
@@ -125,7 +142,7 @@ let test_route_many_matches_scalar () =
   List.iter
     (fun geometry ->
       let name = Rcm.Geometry.slug geometry in
-      let table = flat_table ~seed:42 ~bits:6 geometry in
+      let table = flat_table ~seed:42 ~bits:(bits_for geometry 6) geometry in
       List.iteri
         (fun qi q ->
           let what = Printf.sprintf "%s q=%g" name q in
@@ -146,10 +163,14 @@ let test_route_many_matches_scalar () =
           Alcotest.(check int) (what ^ ": batch_size") (Array.length pairs)
             (Routing.Route_batch.batch_size scratch);
           let scalar_delivered = ref 0 in
+          let scalar_hops_rev = ref [] in
           Array.iteri
             (fun k (src, dst) ->
               let expected = Routing.Router.route table ~rng:rng_scalar ~alive ~src ~dst in
-              if Routing.Outcome.is_delivered expected then incr scalar_delivered;
+              if Routing.Outcome.is_delivered expected then begin
+                incr scalar_delivered;
+                scalar_hops_rev := float_of_int (Routing.Outcome.hops expected) :: !scalar_hops_rev
+              end;
               Alcotest.check outcome
                 (Printf.sprintf "%s: pair %d (%d -> %d)" what k src dst)
                 expected
@@ -169,11 +190,15 @@ let test_route_many_matches_scalar () =
             (what ^ ": dropped_count")
             (Array.length pairs - !scalar_delivered)
             (Routing.Route_batch.dropped_count scratch);
+          Alcotest.(check (list (float 0.0)))
+            (what ^ ": delivered hop list")
+            (List.rev !scalar_hops_rev)
+            (Routing.Route_batch.delivered_hops_rev_order scratch);
           (* The batch kernel consumed exactly the scalar draws. *)
           Alcotest.(check int64) (what ^ ": rng state")
             (Prng.Splitmix.state rng_scalar) (Prng.Splitmix.state rng_batch))
         qs)
-    all_geometries
+    matrix_geometries
 
 (* sample_and_route interleaves pair-sampling draws with routing draws
    exactly as the scalar trial loop does (the hypercube router draws
@@ -182,7 +207,7 @@ let test_sample_and_route_matches_scalar () =
   List.iter
     (fun geometry ->
       let name = Rcm.Geometry.slug geometry in
-      let table = flat_table ~seed:5 ~bits:7 geometry in
+      let table = flat_table ~seed:5 ~bits:(bits_for geometry 7) geometry in
       List.iteri
         (fun qi q ->
           let what = Printf.sprintf "%s q=%g" name q in
@@ -223,7 +248,7 @@ let test_sample_and_route_matches_scalar () =
               (Prng.Splitmix.state rng_scalar) (Prng.Splitmix.state rng_batch)
           end)
         qs)
-    all_geometries
+    matrix_geometries
 
 (* Property: random (bits, seed) instances agree pair-for-pair across
    the batch and scalar paths on the rng-free geometries. *)
@@ -258,6 +283,117 @@ let prop_batch_scalar_agreement =
                       (Routing.Route_batch.outcome scratch k))
                   (Array.init (Array.length pairs) Fun.id))
            [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]))
+
+(* Property: the hypercube's C sampler-router consumes the scalar
+   trial loop's draws — pair sampling and reservoir draws interleaved
+   — on random instances. Pool sizes include 2, powers of two and
+   non-powers, so the pair draws take both Splitmix.int branches (mask
+   and rejection), as do the reservoir draws at every [seen]. *)
+let prop_hypercube_sample_and_route =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"hypercube sample_and_route = scalar (random instances)"
+       QCheck.(
+         quad (int_range 3 10) small_nat
+           (oneofl [ 0.0; 0.25; 0.9 ])
+           (oneofl [ 2; 3; 4; 5; 6; 7; 8; 12; 16; 100; 1024 ]))
+       (fun (bits, seed, q, pool_size) ->
+         let table = flat_table ~seed ~bits Rcm.Geometry.Hypercube in
+         let nodes = Overlay.Table.node_count table in
+         let alive =
+           Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(seed + 1)) ~q nodes
+         in
+         (* The first [pool_size] ids of a shuffled id space: dead
+            members included, so exact sizes hold at every q. *)
+         let ids = Array.init nodes Fun.id in
+         Prng.Splitmix.shuffle_in_place (Prng.Splitmix.create ~seed:(seed + 2)) ids;
+         let pool = Array.sub ids 0 (min pool_size nodes) in
+         let pairs = 120 in
+         let rng_batch = Prng.Splitmix.create ~seed:(seed + 3) in
+         let rng_scalar = Prng.Splitmix.create ~seed:(seed + 3) in
+         let scratch =
+           Routing.Route_batch.sample_and_route
+             ~scratch:(Routing.Route_batch.create_scratch ())
+             table ~rng:rng_batch ~alive ~pool ~pairs
+         in
+         let agree =
+           List.for_all
+             (fun k ->
+               let src, dst = Stats.Sampler.ordered_pair rng_scalar pool in
+               Routing.Outcome.equal
+                 (Routing.Router.route table ~rng:rng_scalar ~alive ~src ~dst)
+                 (Routing.Route_batch.outcome scratch k))
+             (List.init pairs Fun.id)
+         in
+         agree
+         && Int64.equal (Prng.Splitmix.state rng_scalar) (Prng.Splitmix.state rng_batch)))
+
+(* --- load telemetry of the hypercube driver and the digits lane ----------- *)
+
+(* Per-node route traversals and terminations, batch versus scalar,
+   through both entry points: the hypercube counts inside its C
+   sample-and-route driver, ReCord at h = 4 inside the digits lane.
+   (test_loadmap pins sample_and_route for the five built-ins.) *)
+let test_loadmap_trav_term_equal () =
+  List.iter
+    (fun geometry ->
+      let name = Rcm.Geometry.slug geometry in
+      let table = flat_table ~seed:13 ~bits:8 geometry in
+      let nodes = Overlay.Table.node_count table in
+      List.iteri
+        (fun qi q ->
+          let alive =
+            Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(300 + qi)) ~q nodes
+          in
+          let pool = Overlay.Failure.survivors alive in
+          if Array.length pool >= 2 then begin
+            let pairs = 400 in
+            let sampled =
+              let rng = Prng.Splitmix.create ~seed:17 in
+              Array.init pairs (fun _ -> Stats.Sampler.ordered_pair rng pool)
+            in
+            let loadmap_of route =
+              let lm = Obs.Loadmap.create ~nodes in
+              Obs.Loadmap.with_sink lm (fun () -> route (Prng.Splitmix.create ~seed:17));
+              lm
+            in
+            let scalar =
+              loadmap_of (fun rng ->
+                  for _ = 1 to pairs do
+                    let src, dst = Stats.Sampler.ordered_pair rng pool in
+                    ignore (Routing.Router.route table ~rng ~alive ~src ~dst)
+                  done)
+            in
+            let scalar_fixed =
+              loadmap_of (fun rng ->
+                  Array.iter
+                    (fun (src, dst) -> ignore (Routing.Router.route table ~rng ~alive ~src ~dst))
+                    sampled)
+            in
+            let scratch = Routing.Route_batch.create_scratch () in
+            List.iter
+              (fun (what, expected, batch) ->
+                if not (Obs.Loadmap.equal expected batch) then
+                  Alcotest.failf "%s q=%g %s: batch and scalar loadmaps differ" name q what;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s q=%g %s: one termination per pair" name q what)
+                  pairs
+                  (Obs.Loadmap.total batch Obs.Loadmap.Route_termination))
+              [
+                ( "sample_and_route",
+                  scalar,
+                  loadmap_of (fun rng ->
+                      ignore
+                        (Routing.Route_batch.sample_and_route ~scratch table ~rng ~alive ~pool
+                           ~pairs)) );
+                ( "route_many",
+                  scalar_fixed,
+                  loadmap_of (fun rng ->
+                      ignore (Routing.Route_batch.route_many ~scratch table ~rng ~alive sampled))
+                );
+              ]
+          end)
+        qs)
+    [ Rcm.Geometry.Hypercube; Geom_record.geometry ~h:4 () ]
 
 (* --- scratch lifecycle ---------------------------------------------------- *)
 
@@ -317,6 +453,16 @@ let test_validation_errors () =
     (Invalid_argument "Route_batch.sample_and_route: pool smaller than 2") (fun () ->
       ignore
         (Routing.Route_batch.sample_and_route flat ~rng ~alive ~pool:[| 3 |] ~pairs:10));
+  Alcotest.check_raises "pool member past the id space"
+    (Invalid_argument "Route_batch.sample_and_route: pool member 32 outside [0, 32)")
+    (fun () ->
+      ignore
+        (Routing.Route_batch.sample_and_route flat ~rng ~alive ~pool:[| 1; 32 |] ~pairs:1));
+  Alcotest.check_raises "negative pool member"
+    (Invalid_argument "Route_batch.sample_and_route: pool member -1 outside [0, 32)")
+    (fun () ->
+      ignore
+        (Routing.Route_batch.sample_and_route flat ~rng ~alive ~pool:[| -1; 2 |] ~pairs:0));
   Alcotest.check_raises "negative pair count"
     (Invalid_argument "Route_batch.sample_and_route: negative pair count") (fun () ->
       ignore
@@ -450,6 +596,9 @@ let suite =
     Alcotest.test_case "sample_and_route = scalar trial loop" `Quick
       test_sample_and_route_matches_scalar;
     prop_batch_scalar_agreement;
+    prop_hypercube_sample_and_route;
+    Alcotest.test_case "loadmap trav/term: hypercube, record:h=4" `Quick
+      test_loadmap_trav_term_equal;
     Alcotest.test_case "scratch reuse and raw views" `Quick test_scratch_reuse_and_raw_views;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
     Alcotest.test_case "metrics totals: batch = scalar" `Quick test_metrics_totals_equal;
