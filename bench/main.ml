@@ -547,6 +547,40 @@ let storage_bench ~smoke () =
   Fmt.pr "storage sweep: %d points in %.3fs@." (List.length points) wall_s;
   (cfg, points, wall_s)
 
+(* The sparse lanes behind the storage plane, per family: build cost
+   per contact entry, and probe-route throughput between random alive
+   nodes at q = 0.2 (the README "Replicated storage" table). Printed
+   only; the JSON carries the sweep above. *)
+let sparse_lanes_bench ~smoke () =
+  let bits = if smoke then 10 else 14 in
+  let nodes = 1 lsl (bits - 1) in
+  let builds = if smoke then 2 else 12 and routes = if smoke then 20_000 else 196_608 in
+  Fmt.pr "@.==== Sparse lanes (d=%d, %d nodes, %d builds, %d routes at q=0.2) ====@.@." bits
+    nodes builds routes;
+  List.iter
+    (fun geometry ->
+      let rng = Prng.Splitmix.create ~seed:1 in
+      let t0 = Unix.gettimeofday () in
+      let overlay = ref (Overlay.Sparse.build ~rng ~bits ~nodes geometry) in
+      for _ = 2 to builds do
+        overlay := Overlay.Sparse.build ~rng ~bits ~nodes geometry
+      done;
+      let build_s = Unix.gettimeofday () -. t0 in
+      let alive = Overlay.Failure.sample ~rng ~q:0.2 nodes in
+      let pool = Overlay.Failure.survivors alive in
+      let pick () = pool.(Prng.Splitmix.int rng (Array.length pool)) in
+      let pairs = Array.init routes (fun _ -> (pick (), pick ())) in
+      let t1 = Unix.gettimeofday () in
+      Array.iter
+        (fun (src, dst) -> ignore (Routing.Sparse_router.route !overlay ~alive ~src ~dst))
+        pairs;
+      let route_s = Unix.gettimeofday () -. t1 in
+      Fmt.pr "%-12s build %6.1f ns/entry   route %10.0f routes/s@."
+        (Rcm.Geometry.slug geometry)
+        (build_s *. 1e9 /. float_of_int (builds * nodes * Overlay.Sparse.degree !overlay))
+        (float_of_int routes /. route_s))
+    (Experiments.Storage_sweep.default_geometries @ [ Geom_record.geometry ~h:4 () ])
+
 (* --- Part 8: per-node load telemetry --------------------------------------- *)
 
 (* The direct overhead question: the same batched pair block routed
@@ -840,6 +874,7 @@ let () =
   let batch = (overlay_bits, batch_records, batch_sweep_scalar_s, batch_sweep_batch_s) in
   let churn = churn_bench ~smoke () in
   let storage = storage_bench ~smoke () in
+  sparse_lanes_bench ~smoke ();
   let loadmap = loadmap_bench ~smoke () in
   let record = record_bench ~smoke () in
   (* The cumulative process watermark lands in the metrics section as a

@@ -32,7 +32,7 @@ type t = {
           the hypercube's C driver routes pair by pair, so it is not
           one *)
   sparse : bool;
-      (** sparse overlay builder + sparse router + placement style
+      (** sparse lane shape (build and route) + placement style
           registered — implies storage/hotspot support *)
   churn : bool;  (** supported by the repair-process churn engine *)
   session_churn : bool;  (** supported by the session-churn engine *)

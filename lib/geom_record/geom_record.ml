@@ -13,10 +13,11 @@
    This module is the registration unit: linked with -linkall, its
    init hooks the family into every layer's registry — parsing
    (Rcm.Geometry), closed forms and chains (Rcm.Model), table and
-   sparse construction (Overlay), scalar/batch/sparse routing
-   (Routing), churn behaviour (Sim.Churn_profile), replica placement
-   (Storage.Placement) and the descriptor registry (Geom). Nothing
-   outside this directory pattern-matches the family. *)
+   sparse construction (Overlay, whose sparse lane also routes),
+   scalar/batch routing (Routing), churn behaviour
+   (Sim.Churn_profile), replica placement (Storage.Placement) and the
+   descriptor registry (Geom). Nothing outside this directory
+   pattern-matches the family. *)
 
 let family = "record"
 
@@ -183,70 +184,14 @@ let () =
    Digit generalisation of the sparse prefix buckets: the (level,
    rank) contact of node v is a uniformly random occupied id matching
    v's digits above [level] and holding digit own+rank there, or
-   [missing] when that digit subtree is empty. The sparse router is
-   the same greedy walk on identifiers with missing slots skipped. *)
+   [missing] when that digit subtree is empty; routing is the same
+   greedy digit walk on identifiers with missing slots skipped. That
+   is the sparse Buckets lane at the family's digit width, with the
+   xor-style fallback, so the overlay is built and routed in C. *)
 
 let () =
-  Overlay.Sparse.register_custom_builder ~family (fun t rng params ->
-      let bits = Overlay.Sparse.bits t in
-      let group = checked_group ~bits params in
-      let b = 1 lsl group in
-      let digits = bits / group in
-      Array.init (Overlay.Sparse.node_count t) (fun v ->
-          let id_v = Overlay.Sparse.id_of t v in
-          Array.init (digits * (b - 1)) (fun i ->
-              let level = (i / (b - 1)) + 1 in
-              let rank = (i mod (b - 1)) + 1 in
-              let own = Idspace.Digit.get ~bits ~group id_v level in
-              let pattern =
-                Idspace.Digit.set ~bits ~group id_v level ((own + rank) mod b)
-              in
-              let lo, hi =
-                Overlay.Sparse.prefix_range t ~pattern ~prefix_len:(level * group)
-              in
-              if hi <= lo then Overlay.Sparse.missing
-              else lo + Prng.Splitmix.int rng (hi - lo))))
-
-let sparse_route ?(on_hop = ignore) overlay ~alive ~src ~dst =
-  let bits = Overlay.Sparse.bits overlay in
-  let group = group_of (params_of (Overlay.Sparse.geometry overlay)) in
-  let b = 1 lsl group in
-  let digits = bits / group in
-  let id_dst = Overlay.Sparse.id_of overlay dst in
-  let rec step cur hops =
-    if cur = dst then Routing.Outcome.Delivered { hops }
-    else begin
-      let id_cur = Overlay.Sparse.id_of overlay cur in
-      let contacts = Overlay.Sparse.unsafe_contacts overlay cur in
-      let leading =
-        match Idspace.Digit.highest_differing ~bits ~group id_cur id_dst with
-        | Some level -> level
-        | None -> assert false (* ids are distinct *)
-      in
-      let rec try_level level =
-        if level > digits then None
-        else begin
-          let own = Idspace.Digit.get ~bits ~group id_cur level in
-          let want = Idspace.Digit.get ~bits ~group id_dst level in
-          if own = want then try_level (level + 1)
-          else begin
-            let candidate = contacts.(((level - 1) * (b - 1)) + ((want - own + b) mod b) - 1) in
-            if candidate <> Overlay.Sparse.missing && Overlay.Failure.get alive candidate
-            then Some candidate
-            else try_level (level + 1)
-          end
-        end
-      in
-      match try_level leading with
-      | None -> Routing.Outcome.Dropped { hops; stuck_at = cur }
-      | Some next ->
-          on_hop next;
-          step next (hops + 1)
-    end
-  in
-  step src 0
-
-let () = Routing.Sparse_router.register_custom ~family sparse_route
+  Overlay.Sparse.register_custom_builder ~family (fun ~bits params ->
+      Overlay.Sparse.Buckets { group = checked_group ~bits params; fallback = true })
 
 (* Replica placement follows the digit/XOR proximity structure, like
    Kademlia (at h = 2 the two coincide exactly). *)

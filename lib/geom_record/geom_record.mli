@@ -6,9 +6,10 @@
     ["record"] family with every layer's hook registry: parsing and
     slugs ({!Rcm.Geometry}), the RCM closed form and routing chain
     ({!Rcm.Model} — the spec is {!Rcm.Digits.xor_spec} at
-    [group = log2 h]), full and sparse table builders
-    ({!Overlay.Table}, {!Overlay.Sparse}), scalar, batch-lane and
-    sparse routers ({!Routing}), churn behaviour
+    [group = log2 h]), the full table builder ({!Overlay.Table}) and
+    the sparse lane shape, which builds and routes sparse overlays
+    ({!Overlay.Sparse}), scalar and batch-lane routers ({!Routing}),
+    churn behaviour
     ({!Sim.Churn_profile}), replica placement ({!Storage.Placement})
     and the descriptor registry ({!Geom}). No code outside
     [lib/geom_record] pattern-matches the family; DESIGN.md's "Adding

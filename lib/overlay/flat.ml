@@ -80,7 +80,8 @@ let init ~nodes ~degree f =
   { offsets; targets; uniform = (if nodes > 0 then degree else -1) }
 
 (* Build lanes (build_lanes_stubs.c): the whole uniform-degree fill in
-   one C call, on the identical SplitMix64 stream. *)
+   one C call, on the identical SplitMix64 stream, with the domain lock
+   released. *)
 type lane =
   | Digits of { group : int; draw : bool }
   | Offsets of int array
@@ -89,8 +90,7 @@ type lane =
 external lane_digits : offsets -> targets -> int -> int -> bool -> int64 -> int64
   = "rcm_lane_digits_byte" "rcm_lane_digits"
 
-external lane_offsets : offsets -> targets -> int -> int array -> unit
-  = "rcm_lane_offsets"
+external lane_offsets : offsets -> targets -> int -> offsets -> unit = "rcm_lane_offsets"
 
 external lane_harmonic : offsets -> targets -> int -> int -> int -> int64 -> int64
   = "rcm_lane_harmonic_byte" "rcm_lane_harmonic"
@@ -128,7 +128,10 @@ let of_lane ?rng ~bits ~degree lane =
     match lane with
     | Digits { group; draw } -> lane_digits offsets targets bits group draw state
     | Offsets steps ->
-        lane_offsets offsets targets bits steps;
+        (* The lane reads the steps with the domain lock released, so
+           they move off the OCaml heap first. *)
+        lane_offsets offsets targets bits
+          (Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout steps);
         state
     | Harmonic { near } -> lane_harmonic offsets targets bits degree near state
   in

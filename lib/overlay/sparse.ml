@@ -1,8 +1,24 @@
+(* Sorted ids plus one uniform-degree contact block, both off-heap
+   int32 Bigarrays (ids fit because bits <= 30): node v's contacts are
+   entries [v * degree, (v + 1) * degree) of [contacts]. Every domain
+   of an Exec.Pool reads a shared overlay without copies or GC traffic,
+   and the C build lanes (build_lanes_stubs.c) and the sparse router
+   (Routing.Sparse_router) read the payloads directly. *)
+
+type ids = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type lane =
+  | Fingers
+  | Buckets of { group : int; fallback : bool }
+  | Harmonic of { near : int; shortcuts : int }
+
 type t = {
   bits : int;
   geometry : Rcm.Geometry.t;
-  ids : int array;
-  contacts : int array array;
+  lane : lane;
+  ids : ids;
+  degree : int;
+  contacts : Flat.targets;
 }
 
 let missing = -1
@@ -11,14 +27,30 @@ let bits t = t.bits
 
 let geometry t = t.geometry
 
-let node_count t = Array.length t.ids
+let lane t = t.lane
 
-let id_of t index = t.ids.(index)
+let node_count t = Bigarray.Array1.dim t.ids
 
-let contacts t index = Array.copy t.contacts.(index)
-let unsafe_contacts t index = t.contacts.(index)
+let degree t = t.degree
+
+let ids t = t.ids
+
+let contact_block t = t.contacts
 
 let occupancy t = float_of_int (node_count t) /. Float.pow 2.0 (float_of_int t.bits)
+
+let check_index t context v =
+  if v < 0 || v >= node_count t then
+    invalid_arg (Printf.sprintf "Sparse.%s: node %d outside [0, %d)" context v (node_count t))
+
+let id_of t index =
+  check_index t "id_of" index;
+  Int32.to_int (Bigarray.Array1.unsafe_get t.ids index)
+
+let contacts t v =
+  check_index t "contacts" v;
+  Array.init t.degree (fun i ->
+      Int32.to_int (Bigarray.Array1.unsafe_get t.contacts ((v * t.degree) + i)))
 
 (* First index whose id is >= target; [node_count t] when none. *)
 let lower_bound t target =
@@ -26,25 +58,26 @@ let lower_bound t target =
     if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      if t.ids.(mid) >= target then search lo mid else search (mid + 1) hi
+      if Int32.to_int (Bigarray.Array1.unsafe_get t.ids mid) >= target then search lo mid
+      else search (mid + 1) hi
     end
   in
-  search 0 (Array.length t.ids)
+  search 0 (node_count t)
 
 (* Index of the first node clockwise from [target] (inclusive),
    wrapping past the top of the ring. *)
 let successor_index t target =
   let i = lower_bound t target in
-  if i = Array.length t.ids then 0 else i
+  if i = node_count t then 0 else i
 
 let index_of_id t id =
   let i = successor_index t id in
-  if t.ids.(i) = id then Some i else None
+  if Int32.to_int (Bigarray.Array1.unsafe_get t.ids i) = id then Some i else None
 
 (* Range of node indexes whose ids share the given [prefix_len]-bit
    prefix of [pattern]: ids are sorted, so it is one contiguous run. *)
 let prefix_range t ~pattern ~prefix_len =
-  if prefix_len = 0 then (0, Array.length t.ids)
+  if prefix_len = 0 then (0, node_count t)
   else begin
     let width = t.bits - prefix_len in
     let lo_id = pattern land lnot ((1 lsl width) - 1) in
@@ -52,75 +85,34 @@ let prefix_range t ~pattern ~prefix_len =
     (lower_bound t lo_id, lower_bound t hi_id)
   end
 
-let sample_ids rng ~bits ~count =
-  let size = 1 lsl bits in
-  if count < 2 || count > size then
+(* Build lanes (build_lanes_stubs.c). Each runs SplitMix64 inline on
+   the identical stream and returns the post-lane state; the domain
+   lock is released while it runs. *)
+external lane_sample_ids : ids -> int -> int64 -> int64 = "rcm_sparse_sample_ids"
+
+external lane_fingers : ids -> Flat.targets -> int -> unit = "rcm_sparse_fingers"
+
+external lane_buckets : ids -> Flat.targets -> int -> int -> int64 -> int64
+  = "rcm_sparse_buckets"
+
+external lane_harmonic : Flat.targets -> int -> int -> int -> int64 -> int64
+  = "rcm_sparse_harmonic"
+
+(* [count] sorted distinct ids, drawn by the lane. *)
+let draw_ids rng ~bits ~count =
+  if bits < 1 || bits > 30 then invalid_arg "Sparse.sample_ids: bits outside 1..30";
+  if count < 2 || count > 1 lsl bits then
     invalid_arg "Sparse.sample_ids: node count outside 2..2^bits";
-  if 2 * count >= size then begin
-    (* Dense regime: shuffle the whole space and take a prefix. *)
-    let all = Array.init size Fun.id in
-    Prng.Splitmix.shuffle_in_place rng all;
-    let chosen = Array.sub all 0 count in
-    Array.sort compare chosen;
-    chosen
-  end
-  else begin
-    let seen = Hashtbl.create (2 * count) in
-    let chosen = Array.make count 0 in
-    let filled = ref 0 in
-    while !filled < count do
-      let id = Prng.Splitmix.int rng size in
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        chosen.(!filled) <- id;
-        incr filled
-      end
-    done;
-    Array.sort compare chosen;
-    chosen
-  end
+  let ids = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout count in
+  Prng.Splitmix.set_state rng (lane_sample_ids ids bits (Prng.Splitmix.state rng));
+  ids
 
-(* Chord over a sparse ring: finger i of node v is the first occupied
-   id clockwise from id_v + 2^i (the standard sparse-Chord rule);
-   finger 0 is the successor. Self-pointing fingers (possible in tiny
-   rings) are kept and simply never useful. *)
-let build_ring_contacts t =
-  let n = Array.length t.ids in
-  let size = 1 lsl t.bits in
-  Array.init n (fun v ->
-      Array.init t.bits (fun i ->
-          let target = (t.ids.(v) + (1 lsl i)) land (size - 1) in
-          successor_index t target))
+let sample_ids rng ~bits ~count =
+  let ids = draw_ids rng ~bits ~count in
+  Array.init count (fun i -> Int32.to_int (Bigarray.Array1.unsafe_get ids i))
 
-(* Kademlia/Plaxton buckets over a sparse space: the level-i contact of
-   v is a uniformly random occupied id matching v's first i-1 bits and
-   differing on bit i, or [missing] when no such node exists. *)
-let build_prefix_contacts t rng =
-  let n = Array.length t.ids in
-  Array.init n (fun v ->
-      let id_v = t.ids.(v) in
-      Array.init t.bits (fun i ->
-          let level = i + 1 in
-          let pattern = Idspace.Id.flip_bit ~bits:t.bits id_v level in
-          let lo, hi = prefix_range t ~pattern ~prefix_len:level in
-          if hi <= lo then missing else lo + Prng.Splitmix.int rng (hi - lo)))
-
-(* Symphony over a sparse ring: positions live on the circle of the n
-   occupied nodes; near neighbours are the next k_n nodes and each
-   shortcut's position distance follows the harmonic law on n. *)
-let build_symphony_contacts t rng ~k_n ~k_s =
-  let n = Array.length t.ids in
-  if k_n + k_s >= n then invalid_arg "Sparse: symphony degree exceeds node count";
-  Array.init n (fun v ->
-      Array.init (k_n + k_s) (fun i ->
-          if i < k_n then (v + i + 1) mod n
-          else (v + Prng.Splitmix.harmonic_int rng ~n:(n - 1)) mod n))
-
-(* Custom-family sparse contact builders, keyed by family name. The
-   builder sees the overlay with [ids] populated (contacts still
-   empty) and returns the per-node contact arrays; [missing] entries
-   are allowed and simply never match in the sparse routers. *)
-type custom_builder = t -> Prng.Splitmix.t -> (string * int) list -> int array array
+(* Custom-family sparse lanes, keyed by family name. *)
+type custom_builder = bits:int -> (string * int) list -> lane
 
 let custom_builders : (string, custom_builder) Hashtbl.t = Hashtbl.create 8
 
@@ -130,24 +122,54 @@ let register_custom_builder ~family builder =
       (Printf.sprintf "Sparse.register_custom_builder: %S already registered" family);
   Hashtbl.replace custom_builders family builder
 
+let lane_of ~bits geometry =
+  match geometry with
+  | Rcm.Geometry.Ring -> Fingers
+  | Rcm.Geometry.Tree -> Buckets { group = 1; fallback = false }
+  | Rcm.Geometry.Xor -> Buckets { group = 1; fallback = true }
+  | Rcm.Geometry.Symphony { k_n; k_s } -> Harmonic { near = k_n; shortcuts = k_s }
+  | Rcm.Geometry.Hypercube ->
+      invalid_arg
+        "Sparse.build: CAN's sparse form is a zone partition, not an id-subset overlay"
+  | Rcm.Geometry.Custom { family; params } -> (
+      match Hashtbl.find_opt custom_builders family with
+      | Some builder -> builder ~bits params
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Sparse.build: family %S has no registered sparse builder"
+               family))
+
+let lane_degree ~bits ~nodes = function
+  | Fingers -> bits
+  | Buckets { group; _ } ->
+      if group < 1 || bits mod group <> 0 then
+        invalid_arg
+          (Printf.sprintf "Sparse.build: digit width %d does not divide bits=%d" group bits);
+      bits / group * ((1 lsl group) - 1)
+  | Harmonic { near; shortcuts } ->
+      if near < 0 || shortcuts < 0 then invalid_arg "Sparse: negative symphony degree";
+      if near + shortcuts >= nodes then
+        invalid_arg "Sparse: symphony degree exceeds node count";
+      near + shortcuts
+
+(* The draw order is the reference construction's: the ids first (one
+   Splitmix.int per shuffle position or rejection draw), then the
+   contacts in (v ascending, slot ascending) order — nothing for
+   fingers, one bounded draw per non-empty bucket, one harmonic_int per
+   Symphony shortcut. Geometry validation happens after the ids are
+   drawn, so a rejected geometry leaves the generator where the
+   reference construction leaves it. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5ea5) ~bits ~nodes geometry =
   if bits < 1 || bits > 30 then invalid_arg "Sparse.build: bits outside 1..30";
-  let ids = sample_ids rng ~bits ~count:nodes in
-  let t = { bits; geometry; ids; contacts = [||] } in
-  let contacts =
-    match geometry with
-    | Rcm.Geometry.Ring -> build_ring_contacts t
-    | Rcm.Geometry.Tree | Rcm.Geometry.Xor -> build_prefix_contacts t rng
-    | Rcm.Geometry.Symphony { k_n; k_s } -> build_symphony_contacts t rng ~k_n ~k_s
-    | Rcm.Geometry.Hypercube ->
-        invalid_arg
-          "Sparse.build: CAN's sparse form is a zone partition, not an id-subset overlay"
-    | Rcm.Geometry.Custom { family; params } -> (
-        match Hashtbl.find_opt custom_builders family with
-        | Some builder -> builder t rng params
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Sparse.build: family %S has no registered sparse builder"
-                 family))
-  in
-  { t with contacts }
+  let ids = draw_ids rng ~bits ~count:nodes in
+  let lane = lane_of ~bits geometry in
+  let degree = lane_degree ~bits ~nodes lane in
+  let contacts = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (nodes * degree) in
+  let state = Prng.Splitmix.state rng in
+  (match lane with
+  | Fingers -> lane_fingers ids contacts bits
+  | Buckets { group; _ } ->
+      Prng.Splitmix.set_state rng (lane_buckets ids contacts bits group state)
+  | Harmonic { near; shortcuts } ->
+      Prng.Splitmix.set_state rng (lane_harmonic contacts nodes near shortcuts state));
+  { bits; geometry; lane; ids; degree; contacts }

@@ -46,4 +46,22 @@ static inline uint64_t splitmix_int(uint64_t *state, uint64_t bound, uint64_t li
   }
 }
 
+/* splitmix_int for a bound drawn against only once or twice, so that
+   precomputing its limit does not pay: a 62-bit draw v <= max62 -
+   bound is below every limit (the limit is at least max62 - bound +
+   1), so the two divisions of splitmix_limit run only for the
+   ~bound/2^62 of draws above that. Same accepted values, same
+   rejections, same draw count as splitmix_int. */
+static inline uint64_t splitmix_int_once(uint64_t *state, uint64_t bound)
+{
+  const uint64_t max62 = ((uint64_t)1 << 62) - 1;
+  if ((bound & (bound - 1)) == 0)
+    return (splitmix_next(state) >> 2) & (bound - 1);
+  for (;;) {
+    const uint64_t v = splitmix_next(state) >> 2;
+    if (v <= max62 - bound || v <= splitmix_limit(bound))
+      return v % bound;
+  }
+}
+
 #endif

@@ -1,133 +1,64 @@
 (* Greedy routing over sparse overlays (node identity = index into the
-   sorted id array, distances measured on identifiers). Same forwarding
-   rules as the fully-populated routers; tree/xor tables may have
-   [Sparse.missing] entries, which simply never match. *)
+   sorted id array, distances measured on identifiers). The hop loop is
+   one noalloc C call per route (sparse_route_stubs.c): the storage
+   plane routes one message at a time, so there is no block to batch,
+   and the lanes draw nothing. *)
 
-let ring_distance ~bits a b = Idspace.Id.ring_distance ~bits a b
+external route_lane :
+  Overlay.Sparse.ids ->
+  Overlay.Flat.targets ->
+  Overlay.Failure.Bitset.words ->
+  int ->
+  int ->
+  int ->
+  int ->
+  int ->
+  int ->
+  Obs.Loadmap.counts ->
+  Obs.Loadmap.counts ->
+  int = "rcm_sparse_route_bc" "rcm_sparse_route"
+[@@noalloc]
 
-(* Greedy clockwise over ring-structured contacts (Chord fingers or
-   Symphony links). *)
-let route_ring ?(on_hop = ignore) overlay ~alive ~src ~dst =
-  let bits = Overlay.Sparse.bits overlay in
-  let id_dst = Overlay.Sparse.id_of overlay dst in
-  let rec step cur hops remaining =
-    if remaining = 0 then Outcome.Delivered { hops }
-    else begin
-      let best = ref (-1) in
-      let best_remaining = ref remaining in
-      Array.iter
-        (fun candidate ->
-          if candidate <> Overlay.Sparse.missing && Overlay.Failure.get alive candidate then begin
-            let after = ring_distance ~bits (Overlay.Sparse.id_of overlay candidate) id_dst in
-            if after < !best_remaining then begin
-              best := candidate;
-              best_remaining := after
-            end
-          end)
-        (Overlay.Sparse.unsafe_contacts overlay cur);
-      if !best < 0 then Outcome.Dropped { hops; stuck_at = cur }
-      else begin
-        on_hop !best;
-        step !best (hops + 1) !best_remaining
-      end
-    end
-  in
-  step src 0 (ring_distance ~bits (Overlay.Sparse.id_of overlay src) id_dst)
+(* Lane modes, as sparse_route_stubs.c decodes them. *)
+let clockwise = 0
+let leading_digit = 1
+let first_alive_digit = 2
 
-(* Prefix routing: [`Xor] falls back to lower-order differing bits,
-   [`Tree] must use the leading one. *)
-let route_prefix ?(on_hop = ignore) ~mode overlay ~alive ~src ~dst =
-  let bits = Overlay.Sparse.bits overlay in
-  let id_dst = Overlay.Sparse.id_of overlay dst in
-  let rec step cur hops =
-    if cur = dst then Outcome.Delivered { hops }
-    else begin
-      let id_cur = Overlay.Sparse.id_of overlay cur in
-      let diff = Idspace.Id.xor_distance id_cur id_dst in
-      let leading = bits - Idspace.Id.floor_log2 diff in
-      let contacts = Overlay.Sparse.unsafe_contacts overlay cur in
-      let usable level =
-        let candidate = contacts.(level - 1) in
-        if candidate <> Overlay.Sparse.missing && Overlay.Failure.get alive candidate then Some candidate
-        else None
-      in
-      let next =
-        match mode with
-        | `Tree -> usable leading
-        | `Xor ->
-            let rec try_level level =
-              if level > bits then None
-              else if Idspace.Id.get_bit ~bits diff level then
-                match usable level with
-                | Some _ as found -> found
-                | None -> try_level (level + 1)
-              else try_level (level + 1)
-            in
-            try_level leading
-      in
-      match next with
-      | None -> Outcome.Dropped { hops; stuck_at = cur }
-      | Some next ->
-          on_hop next;
-          step next (hops + 1)
-    end
-  in
-  step src 0
+(* Zero-length counter slices: the C lane's "telemetry off". *)
+let off = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
 
-(* Custom-family sparse routers, keyed by family name, wrapped by
-   [route] with the same loadmap accounting as the built-ins. *)
-type custom_router =
-  ?on_hop:(int -> unit) ->
-  Overlay.Sparse.t ->
-  alive:Overlay.Failure.t ->
-  src:int ->
-  dst:int ->
-  Outcome.t
-
-let custom_routers : (string, custom_router) Hashtbl.t = Hashtbl.create 8
-
-let register_custom ~family router =
-  if Hashtbl.mem custom_routers family then
+let route overlay ~alive ~src ~dst =
+  let n = Overlay.Sparse.node_count overlay in
+  if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg
-      (Printf.sprintf "Sparse_router.register_custom: %S already registered" family);
-  Hashtbl.replace custom_routers family router
-
-let dispatch ?on_hop overlay ~alive ~src ~dst =
-  match Overlay.Sparse.geometry overlay with
-  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> route_ring ?on_hop overlay ~alive ~src ~dst
-  | Rcm.Geometry.Tree -> route_prefix ?on_hop ~mode:`Tree overlay ~alive ~src ~dst
-  | Rcm.Geometry.Xor -> route_prefix ?on_hop ~mode:`Xor overlay ~alive ~src ~dst
-  | Rcm.Geometry.Hypercube ->
-      invalid_arg "Sparse_router.route: no sparse hypercube overlay exists"
-  | Rcm.Geometry.Custom { family; _ } -> (
-      match Hashtbl.find_opt custom_routers family with
-      | Some router -> router ?on_hop overlay ~alive ~src ~dst
-      | None ->
+      (Printf.sprintf "Sparse_router.route: pair (%d, %d) outside [0, %d)" src dst n);
+  if Overlay.Failure.length alive <> n then
+    invalid_arg "Sparse_router.route: alive mask size mismatch";
+  let mode, group =
+    match Overlay.Sparse.lane overlay with
+    | Overlay.Sparse.Fingers | Overlay.Sparse.Harmonic _ -> (clockwise, 1)
+    | Overlay.Sparse.Buckets { group; fallback } ->
+        ((if fallback then first_alive_digit else leading_digit), group)
+  in
+  let trav, term =
+    match Obs.Loadmap.sink () with
+    | None -> (off, off)
+    | Some lm ->
+        if Obs.Loadmap.nodes lm <> n then
           invalid_arg
-            (Printf.sprintf "Sparse_router.route: family %S has no registered sparse router"
-               family))
-
-(* Same per-node load accounting as Routing.Router: one traversal per
-   accepted hop (the node hopped to), one termination where the walk
-   ends — dst when delivered, the stuck node when dropped. Node
-   indices here are sparse-overlay indices; the storage layer and the
-   hotspot sweep size their loadmaps accordingly. *)
-let route ?on_hop overlay ~alive ~src ~dst =
-  match Obs.Loadmap.sink () with
-  | None -> dispatch ?on_hop overlay ~alive ~src ~dst
-  | Some lm ->
-      let count v = Obs.Loadmap.record lm Obs.Loadmap.Route_traversal v in
-      let on_hop =
-        match on_hop with
-        | None -> count
-        | Some f ->
-            fun v ->
-              count v;
-              f v
-      in
-      let outcome = dispatch ~on_hop overlay ~alive ~src ~dst in
-      (match outcome with
-      | Outcome.Delivered _ -> Obs.Loadmap.record lm Obs.Loadmap.Route_termination dst
-      | Outcome.Dropped { stuck_at; _ } ->
-          Obs.Loadmap.record lm Obs.Loadmap.Route_termination stuck_at);
-      outcome
+            (Printf.sprintf
+               "Sparse_router.route: loadmap sink covers %d nodes but the overlay has %d"
+               (Obs.Loadmap.nodes lm) n);
+        ( Obs.Loadmap.slice lm Obs.Loadmap.Route_traversal,
+          Obs.Loadmap.slice lm Obs.Loadmap.Route_termination )
+  in
+  let packed =
+    route_lane (Overlay.Sparse.ids overlay)
+      (Overlay.Sparse.contact_block overlay)
+      (Overlay.Failure.Bitset.words alive)
+      (Overlay.Sparse.degree overlay) mode (Overlay.Sparse.bits overlay) group src dst trav
+      term
+  in
+  (* hops in the low 31 bits, stuck node + 1 above (0 = delivered). *)
+  let hops = packed land 0x7FFF_FFFF and stuck = (packed lsr 31) - 1 in
+  if stuck < 0 then Outcome.Delivered { hops } else Outcome.Dropped { hops; stuck_at = stuck }

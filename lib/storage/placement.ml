@@ -48,10 +48,18 @@ let closest_set o ~key ~count =
   in
   go key 0 count;
   (* Subtree collection preserves index order, not distance order;
-     sort by XOR distance to the key (ids are distinct, so no ties). *)
-  let dist i = Idspace.Id.xor_distance (Overlay.Sparse.id_of o i) key in
-  Array.sort (fun a b -> compare (dist a) (dist b)) acc;
-  acc
+     sort by XOR distance to the key. Ids are distinct, so distances
+     are too, and sorting (distance lsl 30) lor index — both below
+     2^30 — as plain ints gives the distance order, each distance
+     read once from the off-heap ids. *)
+  let ids = Overlay.Sparse.ids o in
+  let keyed =
+    Array.map
+      (fun i -> ((Int32.to_int (Bigarray.Array1.unsafe_get ids i) lxor key) lsl 30) lor i)
+      acc
+  in
+  Array.sort Int.compare keyed;
+  Array.map (fun k -> k land ((1 lsl 30) - 1)) keyed
 
 (* Custom-family placement styles: a plugin picks which of the two
    placement structures its family uses (the structures themselves are

@@ -18,6 +18,7 @@ let () =
       ("experiments", Test_experiments.suite);
       ("replication", Test_replication.suite);
       ("sparse", Test_sparse.suite);
+      ("sparse-golden", Test_sparse_golden.suite);
       ("churn", Test_churn.suite);
       ("latency", Test_latency.suite);
       ("experiments-extended", Test_experiments_extended.suite);

@@ -163,17 +163,23 @@ let sparse_delivered_paths_alive =
           Array.length pool < 2
           ||
           let src, dst = Stats.Sampler.ordered_pair rng pool in
-          let path = ref [ src ] in
+          (* The loadmap sink observes the path: one traversal per
+             node hopped to, one termination where the walk ends. *)
+          let lm = Obs.Loadmap.create ~nodes:200 in
           let outcome =
-            Routing.Sparse_router.route
-              ~on_hop:(fun v -> path := v :: !path)
-              t ~alive ~src ~dst
+            Obs.Loadmap.with_sink lm (fun () -> Routing.Sparse_router.route t ~alive ~src ~dst)
           in
+          let trav = Obs.Loadmap.counts lm Obs.Loadmap.Route_traversal in
+          let path_alive = ref true in
+          Array.iteri
+            (fun v c -> if c > 0 && not (Overlay.Failure.get alive v) then path_alive := false)
+            trav;
           match outcome with
           | Routing.Outcome.Delivered { hops } ->
-              List.for_all (fun v -> Overlay.Failure.get alive v) !path
-              && hops = List.length !path - 1
-              && List.hd !path = dst
+              !path_alive
+              && Array.for_all (fun c -> c <= 1) trav
+              && hops = Obs.Loadmap.total lm Obs.Loadmap.Route_traversal
+              && Obs.Loadmap.get lm Obs.Loadmap.Route_termination dst = 1
           | Routing.Outcome.Dropped { stuck_at; _ } -> Overlay.Failure.get alive stuck_at)
         [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring;
           Rcm.Geometry.default_symphony ])
