@@ -143,9 +143,24 @@ let run_point cfg geometry ~session_mean ~seed =
 
 let default_geometries = Rcm.Geometry.all_default
 
+(* Building every point's session config runs all of
+   [Session_churn.config]'s checks, the family's own constraints on
+   [bits] included, so a bad setting fails here, once, instead of as a
+   failed point after its retries. *)
+let validate ?(geometries = default_geometries) cfg =
+  if cfg.bits < 1 || cfg.bits > 30 then
+    invalid_arg (Printf.sprintf "Churn_curves: bits must be in 1..30 (got %d)" cfg.bits);
+  if cfg.session_means = [] then invalid_arg "Churn_curves: empty session sweep";
+  List.iter
+    (fun geometry ->
+      List.iter
+        (fun session_mean -> ignore (session_config cfg geometry ~session_mean ~seed:0))
+        cfg.session_means)
+    geometries
+
 let run ?pool ?(geometries = default_geometries) ?(retries = 0) ?fault ?checkpoint cfg =
   if retries < 0 then invalid_arg "Churn_curves.run: negative retries";
-  if cfg.session_means = [] then invalid_arg "Churn_curves.run: empty session sweep";
+  validate ~geometries cfg;
   let geoms = Array.of_list geometries in
   let means = Array.of_list cfg.session_means in
   let per_geom = Array.length means in

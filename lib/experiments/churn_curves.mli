@@ -46,6 +46,14 @@ type point = {
 
 val default_geometries : Rcm.Geometry.t list
 
+val validate : ?geometries:Rcm.Geometry.t list -> config -> unit
+(** Checks the sweep before any point runs: [bits] in 1..30, a
+    non-empty session sweep, and every point's {!Sim.Session_churn}
+    config for every geometry, which includes each family's
+    constraints on [bits] (ReCord's digit width must divide it).
+    [geometries] defaults to {!default_geometries}.
+    @raise Invalid_argument with the first problem found. *)
+
 val run :
   ?pool:Exec.Pool.t ->
   ?geometries:Rcm.Geometry.t list ->
@@ -59,6 +67,7 @@ val run :
     size.
     @raise Exec.Cancel.Cancelled on cooperative cancellation (the
     checkpoint is flushed first).
+    @raise Invalid_argument when {!validate} rejects the sweep.
     @raise Failure when a point exhausts its retries. *)
 
 val pp_points : Format.formatter -> point list -> unit

@@ -10,6 +10,13 @@
     replacement cache whose most-recently-seen entry is promoted when a
     dead head is evicted.
 
+    The whole table is one flat store: an [n·bits·k] contact array
+    with a per-bucket length array, and an [n·bits·cache_k] cache array
+    with its own lengths. Maintenance ({!observe}, {!ping_evict},
+    {!maintain}) shifts entries in place and allocates nothing; routing
+    reads a bucket without copying it through {!contact_count} and
+    {!contact}.
+
     Used by the replication experiments (A5) and the churn simulators;
     the basic single-contact tables live in {!Table}. *)
 
@@ -43,11 +50,16 @@ val bucket : t -> int -> int -> int array
     Mutating the returned array cannot affect the table.
     @raise Invalid_argument when the level is outside 1..bits. *)
 
-val unsafe_bucket : t -> int -> int -> int array
-(** The live backing array of the bucket — zero-copy for routing hot
-    paths. The caller must not mutate it, and must not hold it across
-    {!observe}/{!ping_evict}/{!rebuild_bucket} calls, which may replace
-    it. *)
+val contact_count : t -> int -> int -> int
+(** [contact_count t v level] is the number of contacts in [v]'s
+    bucket for bit [level], without copying it.
+    @raise Invalid_argument when the level is outside 1..bits. *)
+
+val contact : t -> int -> int -> int -> int
+(** [contact t v level i] is contact [i] of that bucket (0 = least
+    recently seen), without copying it.
+    @raise Invalid_argument when the level is outside 1..bits or [i]
+    outside [0 .. contact_count t v level - 1]. *)
 
 val cache : t -> int -> int -> int array
 (** A copy of the bucket's replacement cache, oldest first. *)
@@ -56,7 +68,8 @@ val observe : t -> int -> int -> unit
 (** [observe t v id] records that [v] heard from [id]: an existing
     contact moves to the tail; a new contact is appended when the
     bucket has room; otherwise it enters the replacement cache (whose
-    oldest entry is dropped beyond [cache_k]). No-op when [v = id]. *)
+    oldest entry is dropped beyond [cache_k]). No-op when [v = id].
+    @raise Invalid_argument when [id] is outside the space. *)
 
 val ping_evict : t -> int -> level:int -> alive:(int -> bool) -> maintenance
 (** One ping-before-evict step on the bucket head: a live head is
@@ -72,10 +85,6 @@ val rebuild_bucket :
 (** Redraws one bucket — a routing-table repair action under churn —
     and clears its replacement cache. With [?alive], each draw retries
     a dead candidate up to 8 times, preferring live contacts. *)
-
-val iter_contacts : t -> int -> (int -> unit) -> unit
-(** Iterates over every contact of a node, all buckets (caches
-    excluded). *)
 
 val invariant_violation : t -> string option
 (** [None] when every bucket satisfies the structural invariants

@@ -62,7 +62,12 @@ type report = {
   no_pair_measurements : int;
 }
 
-type event = Toggle of int | Repair of int | Measure
+(* Events are ints for the allocation-free queue: [v lsl 2 lor kind]. *)
+let toggle = 0
+
+let repair = 1
+
+let measure_event = 2
 
 let exponential rng ~mean = -.mean *. Float.log1p (-.Prng.Splitmix.float rng)
 
@@ -73,7 +78,7 @@ let exponential rng ~mean = -.mean *. Float.log1p (-.Prng.Splitmix.float rng)
    single candidate, so their staleness can only heal when the target
    itself returns — exactly the paper's point that detection is fast
    but re-establishing connections is the hard part. *)
-let refresh_entry cfg rng ~alive ~v ~slot ~current =
+let refresh_entry cfg rng ~profile ~alive ~v ~slot ~current =
   let bits = cfg.bits in
   let size = 1 lsl bits in
   let attempt_alive draw =
@@ -97,18 +102,18 @@ let refresh_entry cfg rng ~alive ~v ~slot ~current =
         attempt_alive (fun () ->
             (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1))
   | Rcm.Geometry.Custom _ ->
-      let profile = Churn_profile.resolve_exn "Churn.refresh_entry" cfg.geometry ~bits in
+      let profile = Option.get profile in
       if slot < profile.Churn_profile.near_slots then current
-      else attempt_alive (fun () -> profile.Churn_profile.redraw rng ~v ~slot)
+      else Churn_profile.redraw_alive profile rng ~alive ~v ~slot
   | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube ->
       (* Rejected by [config]. *)
       assert false
 
-let repair_row cfg rng ~alive ~neighbors v =
+let repair_row cfg rng ~profile ~alive ~neighbors v =
   let row = neighbors.(v) in
   Array.iteri
     (fun slot target ->
-      if not (Overlay.Failure.get alive target) then row.(slot) <- refresh_entry cfg rng ~alive ~v ~slot ~current:target)
+      if not (Overlay.Failure.get alive target) then row.(slot) <- refresh_entry cfg rng ~profile ~alive ~v ~slot ~current:target)
     row
 
 (* Stale-entry fractions, overall and split by link class: slots below
@@ -135,7 +140,7 @@ let stale_fractions ~alive ~near_slots neighbors =
   in
   (overall, fraction 0, fraction 1)
 
-let measure cfg rng ~alive ~table ~neighbors ~time =
+let measure cfg rng ~profile ~alive ~table ~neighbors ~time =
   let n = 1 lsl cfg.bits in
   let pool = Overlay.Failure.survivors alive in
   (* Fewer than two survivors means there is no pair to route: that is
@@ -152,12 +157,6 @@ let measure cfg rng ~alive ~table ~neighbors ~time =
       done;
       Some (float_of_int !delivered /. float_of_int cfg.pairs_per_measurement)
     end
-  in
-  let profile =
-    match cfg.geometry with
-    | Rcm.Geometry.Custom _ ->
-        Some (Churn_profile.resolve_exn "Churn.measure" cfg.geometry ~bits:cfg.bits)
-    | _ -> None
   in
   let near_slots =
     match (cfg.geometry, profile) with
@@ -193,6 +192,13 @@ let measure cfg rng ~alive ~table ~neighbors ~time =
 
 let run cfg =
   let rng = Prng.Splitmix.create ~seed:cfg.seed in
+  (* A custom family's profile, resolved once for the whole run. *)
+  let profile =
+    match cfg.geometry with
+    | Rcm.Geometry.Custom _ ->
+        Some (Churn_profile.resolve_exn "Churn.run" cfg.geometry ~bits:cfg.bits)
+    | _ -> None
+  in
   let n = 1 lsl cfg.bits in
   let base = Overlay.Table.build ~rng ~bits:cfg.bits cfg.geometry in
   (* Copy rows so the churn process owns a mutable matrix. *)
@@ -201,49 +207,44 @@ let run cfg =
   let alive = Overlay.Failure.none n in
   let queue = Event_queue.create () in
   for v = 0 to n - 1 do
-    Event_queue.add queue ~time:(exponential rng ~mean:cfg.mean_uptime) (Toggle v);
+    Event_queue.add queue ~time:(exponential rng ~mean:cfg.mean_uptime) ((v lsl 2) lor toggle);
     Event_queue.add queue
       ~time:(Prng.Splitmix.float rng *. cfg.repair_interval)
-      (Repair v)
+      ((v lsl 2) lor repair)
   done;
   for i = 0 to cfg.measurements - 1 do
     Event_queue.add queue
       ~time:(cfg.warmup +. (float_of_int i *. cfg.measurement_spacing))
-      Measure
+      measure_event
   done;
   let horizon = cfg.warmup +. (float_of_int cfg.measurements *. cfg.measurement_spacing) in
   let out = ref [] in
-  let rec loop () =
-    match Event_queue.pop queue with
-    | None -> ()
-    | Some (time, _) when time > horizon -> ()
-    | Some (time, Toggle v) ->
-        if Overlay.Failure.get alive v then begin
-          Overlay.Failure.set alive v false;
-          Event_queue.add queue ~time:(time +. exponential rng ~mean:cfg.mean_downtime)
-            (Toggle v)
-        end
-        else begin
-          Overlay.Failure.set alive v true;
-          (* A rejoining node rebuilds its entire routing table. *)
-          Array.iteri
-            (fun slot current ->
-              neighbors.(v).(slot) <-
-                refresh_entry cfg rng ~alive ~v ~slot ~current)
-            neighbors.(v);
-          Event_queue.add queue ~time:(time +. exponential rng ~mean:cfg.mean_uptime)
-            (Toggle v)
-        end;
-        loop ()
-    | Some (time, Repair v) ->
-        if Overlay.Failure.get alive v then repair_row cfg rng ~alive ~neighbors v;
-        Event_queue.add queue ~time:(time +. cfg.repair_interval) (Repair v);
-        loop ()
-    | Some (time, Measure) ->
-        out := measure cfg rng ~alive ~table ~neighbors ~time :: !out;
-        loop ()
-  in
-  loop ();
+  while (not (Event_queue.is_empty queue)) && Event_queue.top_time queue <= horizon do
+    let time = Event_queue.top_time queue in
+    let ev = Event_queue.take queue in
+    let v = ev lsr 2 in
+    let kind = ev land 3 in
+    if kind = toggle then begin
+      if Overlay.Failure.get alive v then begin
+        Overlay.Failure.set alive v false;
+        Event_queue.add queue ~time:(time +. exponential rng ~mean:cfg.mean_downtime) ev
+      end
+      else begin
+        Overlay.Failure.set alive v true;
+        (* A rejoining node rebuilds its entire routing table. *)
+        Array.iteri
+          (fun slot current ->
+            neighbors.(v).(slot) <- refresh_entry cfg rng ~profile ~alive ~v ~slot ~current)
+          neighbors.(v);
+        Event_queue.add queue ~time:(time +. exponential rng ~mean:cfg.mean_uptime) ev
+      end
+    end
+    else if kind = repair then begin
+      if Overlay.Failure.get alive v then repair_row cfg rng ~profile ~alive ~neighbors v;
+      Event_queue.add queue ~time:(time +. cfg.repair_interval) ev
+    end
+    else out := measure cfg rng ~profile ~alive ~table ~neighbors ~time :: !out
+  done;
   let measurements = List.rev !out in
   let mean f =
     List.fold_left (fun acc m -> acc +. f m) 0.0 measurements

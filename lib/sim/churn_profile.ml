@@ -42,10 +42,9 @@ let resolve_exn context geometry ~bits =
    same semantics as Churn.refresh_entry and
    Session_churn.redraw_shortcut, so custom families age exactly like
    the built-ins. *)
-let redraw_alive profile rng ~alive ~v ~slot =
-  let rec try_draw attempts =
-    let candidate = profile.redraw rng ~v ~slot in
-    if Overlay.Failure.get alive candidate || attempts >= 8 then candidate
-    else try_draw (attempts + 1)
-  in
-  try_draw 0
+let rec redraw_from profile rng ~alive ~v ~slot attempts =
+  let candidate = profile.redraw rng ~v ~slot in
+  if Overlay.Failure.get alive candidate || attempts >= 8 then candidate
+  else redraw_from profile rng ~alive ~v ~slot (attempts + 1)
+
+let redraw_alive profile rng ~alive ~v ~slot = redraw_from profile rng ~alive ~v ~slot 0

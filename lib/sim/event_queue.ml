@@ -1,102 +1,103 @@
-(* Slots are a variant so vacated positions can be reset to the
-   immediate constant [Empty]: a popped entry (and its payload) must
-   not stay reachable through the backing array, or a long-running
-   session-churn simulation retains every event it ever processed. *)
-type 'a slot = Empty | Entry of { time : float; seq : int; payload : 'a }
+(* Min-heap ordered by (time, insertion sequence) over three parallel
+   arrays: ties resolve in insertion order, which keeps simulations
+   deterministic. Sifts move a hole instead of swapping, writing each
+   displaced event once. *)
 
-type 'a t = {
-  mutable heap : 'a slot array;
+type t = {
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable payloads : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let size t = t.size
 
 let is_empty t = t.size = 0
 
-(* Min-heap ordered by (time, insertion sequence): ties resolve in
-   insertion order, which keeps simulations deterministic. *)
-let earlier a b =
-  match (a, b) with
-  | Entry a, Entry b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
-  | Empty, _ | _, Empty -> invalid_arg "Event_queue: empty slot in heap"
+let resize t capacity =
+  let times = Array.make capacity 0.0 in
+  let seqs = Array.make capacity 0 in
+  let payloads = Array.make capacity 0 in
+  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.payloads 0 payloads 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.payloads <- payloads
 
-let ensure_capacity t =
-  if t.size >= Array.length t.heap then begin
-    let capacity = max 16 (2 * Array.length t.heap) in
-    let bigger = Array.make capacity Empty in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end
-
-(* Halve the backing array once it is no more than a quarter full, so a
-   queue that briefly spiked does not pin the peak-sized array (and, via
-   any stale slots, the entries in it) forever. *)
-let maybe_shrink t =
-  let capacity = Array.length t.heap in
-  if capacity > 16 && t.size <= capacity / 4 then begin
-    let smaller = Array.make (capacity / 2) Empty in
-    Array.blit t.heap 0 smaller 0 t.size;
-    t.heap <- smaller
-  end
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 in
-  if left < t.size then begin
-    let right = left + 1 in
-    let smallest =
-      if right < t.size && earlier t.heap.(right) t.heap.(left) then right else left
-    in
-    if earlier t.heap.(smallest) t.heap.(i) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(smallest);
-      t.heap.(smallest) <- tmp;
-      sift_down t smallest
-    end
-  end
+(* Event [src] moves into slot [dst]. *)
+let move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.payloads.(dst) <- t.payloads.(src)
 
 let add t ~time payload =
   if Float.is_nan time then invalid_arg "Event_queue.add: nan time";
-  let entry = Entry { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  ensure_capacity t;
-  t.heap.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if t.size >= Array.length t.times then resize t (max 16 (2 * Array.length t.times));
+  (* The new event's sequence number exceeds every queued one, so it
+     rises past a parent only on a strictly earlier time. *)
+  let i = ref t.size in
+  while !i > 0 && time < t.times.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    move t ~src:parent ~dst:!i;
+    i := parent
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.payloads.(!i) <- payload;
+  t.size <- t.size + 1
+
+let[@inline] top_time t =
+  if t.size = 0 then invalid_arg "Event_queue.top_time: empty queue";
+  t.times.(0)
+
+(* Halve the backing arrays once they are no more than a quarter full,
+   so a queue that briefly spiked does not pin its peak-sized arrays. *)
+let maybe_shrink t =
+  let capacity = Array.length t.times in
+  if capacity > 16 && t.size <= capacity / 4 then resize t (capacity / 2)
+
+let take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  let payload = t.payloads.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    (* Sift the last event down from the root. *)
+    let time = t.times.(last) and seq = t.seqs.(last) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let left = (2 * !i) + 1 in
+      if left >= last then sifting := false
+      else begin
+        let right = left + 1 in
+        let child =
+          if
+            right < last
+            && (t.times.(right) < t.times.(left)
+               || (t.times.(right) = t.times.(left) && t.seqs.(right) < t.seqs.(left)))
+          then right
+          else left
+        in
+        if t.times.(child) < time || (t.times.(child) = time && t.seqs.(child) < seq) then begin
+          move t ~src:child ~dst:!i;
+          i := child
+        end
+        else sifting := false
+      end
+    done;
+    move t ~src:last ~dst:!i
+  end;
+  maybe_shrink t;
+  payload
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      t.heap.(t.size) <- Empty;
-      sift_down t 0
-    end
-    else t.heap.(0) <- Empty;
-    maybe_shrink t;
-    match top with
-    | Entry { time; payload; _ } -> Some (time, payload)
-    | Empty -> assert false
-  end
-
-let peek_time t =
-  if t.size = 0 then None
   else
-    match t.heap.(0) with
-    | Entry { time; _ } -> Some time
-    | Empty -> assert false
+    let time = t.times.(0) in
+    Some (time, take t)

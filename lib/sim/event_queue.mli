@@ -1,20 +1,34 @@
 (** Deterministic binary-heap event queue for discrete-event
-    simulation. Events with equal timestamps pop in insertion order. *)
+    simulation, monomorphic and allocation-free per event.
 
-type 'a t
+    Each event is a float timestamp and an int payload: the churn
+    engines pack a node and an event kind into one int
+    ([v lsl 2 lor kind]). Timestamps live in a float array, insertion
+    sequence numbers and payloads in int arrays, so adding and taking
+    an event allocates no record, tuple or box. Events pop in
+    (time, insertion sequence) order: equal timestamps pop in
+    insertion order. The backing arrays grow by doubling and halve
+    once they fall to a quarter full. *)
 
-val create : unit -> 'a t
+type t
 
-val add : 'a t -> time:float -> 'a -> unit
+val create : unit -> t
+
+val add : t -> time:float -> int -> unit
 (** @raise Invalid_argument on a nan timestamp. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Earliest event, or [None] when empty. The vacated heap slot is
-    cleared so the popped payload does not stay reachable through the
-    queue, and the backing array shrinks once it falls to a quarter
-    full. *)
+val top_time : t -> float
+(** Timestamp of the earliest event.
+    @raise Invalid_argument when the queue is empty. *)
 
-val peek_time : 'a t -> float option
+val take : t -> int
+(** Removes the earliest event and returns its payload — read
+    {!top_time} first for its timestamp.
+    @raise Invalid_argument when the queue is empty. *)
 
-val size : 'a t -> int
-val is_empty : 'a t -> bool
+val pop : t -> (float * int) option
+(** [top_time] and [take] in one call, or [None] when empty. Allocates
+    the pair: simulation loops use [top_time] and [take]. *)
+
+val size : t -> int
+val is_empty : t -> bool

@@ -26,12 +26,18 @@ let config ?(bits = 10) ?(session = Lifetime.exponential ~mean:8.0)
     invalid_arg "Session_churn.config: bad measurement schedule";
   if pairs_per_measurement < 1 then
     invalid_arg "Session_churn.config: need at least one pair per measurement";
+  if bits < 1 || bits > 30 then
+    invalid_arg (Printf.sprintf "Session_churn.config: bits must be in 1..30 (got %d)" bits);
   (match geometry with
   | Rcm.Geometry.Custom { family; _ } ->
       if not (Churn_profile.registered ~family) then
         invalid_arg
           (Printf.sprintf
-             "Session_churn.config: family %S has no registered churn profile" family)
+             "Session_churn.config: family %S has no registered churn profile" family);
+      (* Resolving checks the family's constraints on [bits] (ReCord's
+         digit width must divide it), so a bad width fails here rather
+         than inside [run]. *)
+      ignore (Churn_profile.resolve_exn "Session_churn.config" geometry ~bits)
   | _ -> ());
   {
     geometry;
@@ -74,7 +80,14 @@ type report = {
   events_processed : int;
 }
 
-type event = Depart of int | Arrive of int | Maintain of int | Measure
+(* Events are ints for the allocation-free queue: [v lsl 2 lor kind]. *)
+let depart = 0
+
+let arrive = 1
+
+let maintain = 2
+
+let measure_event = 3
 
 (* The two table representations under churn: xor runs real Kademlia
    k-buckets with LRU maintenance; every other geometry owns a mutable
@@ -88,13 +101,10 @@ type tables =
 
 (* Alive-preferring redraw of a symphony shortcut (bounded rejection,
    as in Churn.refresh_entry). *)
-let redraw_shortcut rng ~alive ~size v =
-  let rec try_draw attempts =
-    let candidate = (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1) in
-    if Overlay.Failure.get alive candidate || attempts >= 8 then candidate
-    else try_draw (attempts + 1)
-  in
-  try_draw 0
+let rec redraw_shortcut rng ~alive ~size v attempts =
+  let candidate = (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1) in
+  if Overlay.Failure.get alive candidate || attempts >= 8 then candidate
+  else redraw_shortcut rng ~alive ~size v (attempts + 1)
 
 (* Stale fraction of the k-bucket overlay, counted against bucket
    *capacity*: a slot emptied by eviction is exactly as useless to the
@@ -109,12 +119,13 @@ let bucket_staleness table ~alive =
     if Overlay.Failure.get alive v then
       for level = 1 to bits do
         let capacity = Overlay.Kbucket.capacity table ~level in
-        let contacts = Overlay.Kbucket.unsafe_bucket table v level in
+        let count = Overlay.Kbucket.contact_count table v level in
         total := !total + capacity;
-        stale := !stale + (capacity - Array.length contacts);
-        Array.iter
-          (fun c -> if not (Overlay.Failure.get alive c) then incr stale)
-          contacts
+        stale := !stale + (capacity - count);
+        for i = 0 to count - 1 do
+          if not (Overlay.Failure.get alive (Overlay.Kbucket.contact table v level i)) then
+            incr stale
+        done
       done
   done;
   if !total = 0 then 0.0 else float_of_int !stale /. float_of_int !total
@@ -142,7 +153,7 @@ let matrix_staleness ~alive ~near_slots neighbors =
   in
   (overall, fraction 0, fraction 1)
 
-let measure cfg rng ~alive ~tables ~time =
+let measure cfg rng ~profile ~alive ~tables ~time =
   let n = 1 lsl cfg.bits in
   let pool = Overlay.Failure.survivors alive in
   let route src dst =
@@ -171,13 +182,10 @@ let measure cfg rng ~alive ~tables ~time =
         (s, s, s)
     | Matrix { neighbors; _ } ->
         let near_slots =
-          match cfg.geometry with
-          | Rcm.Geometry.Symphony { k_n; _ } -> k_n
-          | Rcm.Geometry.Custom _ ->
-              (Churn_profile.resolve_exn "Session_churn.measure" cfg.geometry
-                 ~bits:cfg.bits)
-                .Churn_profile.near_slots
-          | _ -> 0
+          match (cfg.geometry, profile) with
+          | Rcm.Geometry.Symphony { k_n; _ }, _ -> k_n
+          | _, Some p -> p.Churn_profile.near_slots
+          | _, None -> 0
         in
         matrix_staleness ~alive ~near_slots neighbors
   in
@@ -194,7 +202,7 @@ let measure cfg rng ~alive ~tables ~time =
           (Rcm.Symphony.spec_heterogeneous ~q_near:stale_near ~k_n ~k_s)
           ~d:cfg.bits ~q:stale_shortcut
     | Rcm.Geometry.Custom _ ->
-        let p = Churn_profile.resolve_exn "Session_churn.measure" cfg.geometry ~bits:cfg.bits in
+        let p = Option.get profile in
         p.Churn_profile.prediction ~bits:cfg.bits ~stale ~stale_near ~stale_shortcut
     | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube | Rcm.Geometry.Ring ->
         Rcm.Model.routability cfg.geometry ~d:cfg.bits ~q:stale
@@ -213,47 +221,59 @@ let measure cfg rng ~alive ~tables ~time =
    draws, caches cleared) and announces itself to the live contacts it
    just acquired — the announce is what seeds *their* buckets and
    replacement caches with the returned node, mirroring a real Kademlia
-   bootstrap lookup. *)
-let rejoin_xor table rng ~alive v =
+   bootstrap lookup. Announcing touches only the contacts' buckets, so
+   reading v's own buckets while announcing is safe. *)
+let rejoin_xor table rng ~alive ~is_alive v =
   let bits = Overlay.Kbucket.bits table in
-  let is_alive id = Overlay.Failure.get alive id in
   for level = 1 to bits do
     Overlay.Kbucket.rebuild_bucket ~alive:is_alive table rng v ~level
   done;
-  Overlay.Kbucket.iter_contacts table v (fun c ->
-      if is_alive c then Overlay.Kbucket.observe table c v)
+  for level = 1 to bits do
+    for i = 0 to Overlay.Kbucket.contact_count table v level - 1 do
+      let c = Overlay.Kbucket.contact table v level i in
+      if Overlay.Failure.get alive c then Overlay.Kbucket.observe table c v
+    done
+  done
 
-let rejoin_matrix cfg rng ~alive ~neighbors v =
-  match cfg.geometry with
-  | Rcm.Geometry.Symphony { k_n; _ } ->
-      let size = 1 lsl cfg.bits in
-      let row = neighbors.(v) in
-      for slot = k_n to Array.length row - 1 do
-        row.(slot) <- redraw_shortcut rng ~alive ~size v
-      done
-  | Rcm.Geometry.Custom _ ->
-      let profile =
-        Churn_profile.resolve_exn "Session_churn.rejoin" cfg.geometry ~bits:cfg.bits
-      in
-      let row = neighbors.(v) in
-      for slot = profile.Churn_profile.near_slots to Array.length row - 1 do
-        row.(slot) <- Churn_profile.redraw_alive profile rng ~alive ~v ~slot
-      done
-  | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube | Rcm.Geometry.Ring
-  | Rcm.Geometry.Xor ->
-      (* Deterministic links re-bind to the same identifiers. *)
-      ()
+(* Redraws the re-drawable slots of [v]'s row ([from] up); with
+   [~only_dead] only the slots whose target is down. Symphony draws a
+   harmonic shortcut; a custom family draws through its profile. *)
+let redraw_row rng ~profile ~alive ~neighbors ~size ~from ~only_dead v =
+  let row = neighbors.(v) in
+  for slot = from to Array.length row - 1 do
+    if not (only_dead && Overlay.Failure.get alive row.(slot)) then
+      row.(slot) <-
+        (match profile with
+        | Some p -> Churn_profile.redraw_alive p rng ~alive ~v ~slot
+        | None -> redraw_shortcut rng ~alive ~size v 0)
+  done
+
+(* The first re-drawable slot of a matrix row, or [None] when the rows
+   are deterministic (ring fingers, tree/hypercube bit-links re-bind to
+   the same identifiers and are never redrawn). *)
+let redrawable_from cfg ~profile =
+  match (cfg.geometry, profile) with
+  | Rcm.Geometry.Symphony { k_n; _ }, _ -> Some k_n
+  | _, Some p -> Some p.Churn_profile.near_slots
+  | _, None -> None
+
+let rejoin_matrix cfg rng ~profile ~alive ~neighbors v =
+  match redrawable_from cfg ~profile with
+  | Some from ->
+      redraw_row rng ~profile ~alive ~neighbors ~size:(1 lsl cfg.bits) ~from
+        ~only_dead:false v
+  | None -> ()
 
 (* Maintenance tick for one live node. Xor: a ping-before-evict pass
    over every bucket (dead heads evicted, cache entries promoted), then
    one Kademlia-style bucket refresh on a rotating level — a fresh
    candidate is drawn and, when live, observed, which is how buckets
    emptied by eviction regain contacts once their cache has drained.
-   Symphony: dead shortcuts are redrawn in place. *)
-let maintain_node cfg rng ~alive ~tables ~refresh_level v =
+   Symphony and custom families: dead re-drawable entries are redrawn
+   in place. *)
+let maintain_node cfg rng ~profile ~alive ~is_alive ~tables ~refresh_level v =
   match tables with
   | Buckets table ->
-      let is_alive id = Overlay.Failure.get alive id in
       Overlay.Kbucket.maintain table v ~alive:is_alive;
       let bits = cfg.bits in
       let level = (refresh_level.(v) mod bits) + 1 in
@@ -261,34 +281,27 @@ let maintain_node cfg rng ~alive ~tables ~refresh_level v =
       let base = Idspace.Id.flip_bit ~bits v level in
       let suffix = Prng.Splitmix.int rng (1 lsl (bits - level)) in
       let candidate = Idspace.Id.with_suffix ~bits base ~prefix_len:level ~suffix in
-      if is_alive candidate then begin
+      if Overlay.Failure.get alive candidate then begin
         Overlay.Kbucket.observe table v candidate;
         Overlay.Kbucket.observe table candidate v
       end
   | Matrix { neighbors; _ } -> (
-      match cfg.geometry with
-      | Rcm.Geometry.Symphony { k_n; _ } ->
-          let size = 1 lsl cfg.bits in
-          let row = neighbors.(v) in
-          for slot = k_n to Array.length row - 1 do
-            if not (Overlay.Failure.get alive row.(slot)) then
-              row.(slot) <- redraw_shortcut rng ~alive ~size v
-          done
-      | Rcm.Geometry.Custom _ ->
-          let profile =
-            Churn_profile.resolve_exn "Session_churn.maintain" cfg.geometry
-              ~bits:cfg.bits
-          in
-          let row = neighbors.(v) in
-          for slot = profile.Churn_profile.near_slots to Array.length row - 1 do
-            if not (Overlay.Failure.get alive row.(slot)) then
-              row.(slot) <- Churn_profile.redraw_alive profile rng ~alive ~v ~slot
-          done
-      | _ -> ())
+      match redrawable_from cfg ~profile with
+      | Some from ->
+          redraw_row rng ~profile ~alive ~neighbors ~size:(1 lsl cfg.bits) ~from
+            ~only_dead:true v
+      | None -> ())
 
 let run cfg =
   let rng = Prng.Splitmix.create ~seed:cfg.seed in
   let n = 1 lsl cfg.bits in
+  (* A custom family's profile, resolved once for the whole run. *)
+  let profile =
+    match cfg.geometry with
+    | Rcm.Geometry.Custom _ ->
+        Some (Churn_profile.resolve_exn "Session_churn.run" cfg.geometry ~bits:cfg.bits)
+    | _ -> None
+  in
   let tables =
     match cfg.geometry with
     | Rcm.Geometry.Xor ->
@@ -302,55 +315,54 @@ let run cfg =
         Matrix { neighbors; table }
   in
   let alive = Overlay.Failure.none n in
+  let is_alive id = Overlay.Failure.get alive id in
   let refresh_level = Array.make n 0 in
   let queue = Event_queue.create () in
   let maintained =
-    match cfg.geometry with
-    | Rcm.Geometry.Symphony _ | Rcm.Geometry.Xor -> true
-    | Rcm.Geometry.Custom _ ->
-        (Churn_profile.resolve_exn "Session_churn.run" cfg.geometry ~bits:cfg.bits)
-          .Churn_profile.maintained
-    | _ -> false
+    match (cfg.geometry, profile) with
+    | (Rcm.Geometry.Symphony _ | Rcm.Geometry.Xor), _ -> true
+    | _, Some p -> p.Churn_profile.maintained
+    | _, None -> false
   in
   for v = 0 to n - 1 do
-    Event_queue.add queue ~time:(Lifetime.draw cfg.session rng) (Depart v);
+    Event_queue.add queue ~time:(Lifetime.draw cfg.session rng) ((v lsl 2) lor depart);
     if maintained then
       Event_queue.add queue
         ~time:(Prng.Splitmix.float rng *. cfg.maintenance_interval)
-        (Maintain v)
+        ((v lsl 2) lor maintain)
   done;
   for i = 0 to cfg.measurements - 1 do
     Event_queue.add queue
       ~time:(cfg.warmup +. (float_of_int i *. cfg.measurement_spacing))
-      Measure
+      measure_event
   done;
   let horizon = cfg.warmup +. (float_of_int cfg.measurements *. cfg.measurement_spacing) in
   let out = ref [] in
   let events = ref 0 in
-  let rec loop () =
-    match Event_queue.pop queue with
-    | None -> ()
-    | Some (time, _) when time > horizon -> ()
-    | Some (time, ev) ->
-        incr events;
-        (match ev with
-        | Depart v ->
-            Overlay.Failure.set alive v false;
-            Event_queue.add queue ~time:(time +. Lifetime.draw cfg.gap rng) (Arrive v)
-        | Arrive v ->
-            Overlay.Failure.set alive v true;
-            (match tables with
-            | Buckets table -> rejoin_xor table rng ~alive v
-            | Matrix { neighbors; _ } -> rejoin_matrix cfg rng ~alive ~neighbors v);
-            Event_queue.add queue ~time:(time +. Lifetime.draw cfg.session rng) (Depart v)
-        | Maintain v ->
-            if Overlay.Failure.get alive v then
-              maintain_node cfg rng ~alive ~tables ~refresh_level v;
-            Event_queue.add queue ~time:(time +. cfg.maintenance_interval) (Maintain v)
-        | Measure -> out := measure cfg rng ~alive ~tables ~time :: !out);
-        loop ()
-  in
-  loop ();
+  while (not (Event_queue.is_empty queue)) && Event_queue.top_time queue <= horizon do
+    let time = Event_queue.top_time queue in
+    let ev = Event_queue.take queue in
+    let v = ev lsr 2 in
+    let kind = ev land 3 in
+    incr events;
+    if kind = depart then begin
+      Overlay.Failure.set alive v false;
+      Event_queue.add queue ~time:(time +. Lifetime.draw cfg.gap rng) ((v lsl 2) lor arrive)
+    end
+    else if kind = arrive then begin
+      Overlay.Failure.set alive v true;
+      (match tables with
+      | Buckets table -> rejoin_xor table rng ~alive ~is_alive v
+      | Matrix { neighbors; _ } -> rejoin_matrix cfg rng ~profile ~alive ~neighbors v);
+      Event_queue.add queue ~time:(time +. Lifetime.draw cfg.session rng) ((v lsl 2) lor depart)
+    end
+    else if kind = maintain then begin
+      if Overlay.Failure.get alive v then
+        maintain_node cfg rng ~profile ~alive ~is_alive ~tables ~refresh_level v;
+      Event_queue.add queue ~time:(time +. cfg.maintenance_interval) ev
+    end
+    else out := measure cfg rng ~profile ~alive ~tables ~time :: !out
+  done;
   let measurements = List.rev !out in
   let mean f =
     List.fold_left (fun acc m -> acc +. f m) 0.0 measurements

@@ -55,8 +55,10 @@ val config :
   ?seed:int ->
   Rcm.Geometry.t ->
   config
-(** All five geometries are supported.
-    @raise Invalid_argument on non-positive intervals, [k < 1],
+(** All five geometries are supported, and custom families with a
+    registered {!Churn_profile}.
+    @raise Invalid_argument on [bits] outside 1..30, [bits] the
+    family's profile rejects, non-positive intervals, [k < 1],
     [cache_k < 0], or an empty measurement schedule. *)
 
 val churn_rate : config -> float

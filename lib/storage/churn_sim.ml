@@ -61,7 +61,12 @@ type result = {
   events : int;
 }
 
-type event = Depart of int | Arrive of int | Measure
+(* Events are ints for the allocation-free queue: [v lsl 2 lor kind]. *)
+let depart = 0
+
+let arrive = 1
+
+let measure_event = 2
 
 let run geometry cfg ~seed =
   validate cfg;
@@ -78,12 +83,12 @@ let run geometry cfg ~seed =
   for v = 0 to cfg.nodes - 1 do
     Sim.Event_queue.add queue
       ~time:(Sim.Lifetime.draw cfg.session rng)
-      (Depart v)
+      ((v lsl 2) lor depart)
   done;
   for i = 0 to cfg.measurements - 1 do
     Sim.Event_queue.add queue
       ~time:(cfg.warmup +. (float_of_int i *. cfg.spacing))
-      Measure
+      measure_event
   done;
   let horizon =
     cfg.warmup +. (float_of_int cfg.measurements *. cfg.spacing)
@@ -140,27 +145,28 @@ let run geometry cfg ~seed =
       }
       :: !out
   in
-  let rec loop () =
-    match Sim.Event_queue.pop queue with
-    | None -> ()
-    | Some (time, _) when time > horizon -> ()
-    | Some (time, ev) ->
-        incr events;
-        (match ev with
-        | Depart v ->
-            Overlay.Failure.set alive v false;
-            Sim.Event_queue.add queue
-              ~time:(time +. Sim.Lifetime.draw cfg.gap rng)
-              (Arrive v)
-        | Arrive v ->
-            Overlay.Failure.set alive v true;
-            Sim.Event_queue.add queue
-              ~time:(time +. Sim.Lifetime.draw cfg.session rng)
-              (Depart v)
-        | Measure -> measure time);
-        loop ()
-  in
-  loop ();
+  while
+    (not (Sim.Event_queue.is_empty queue)) && Sim.Event_queue.top_time queue <= horizon
+  do
+    let time = Sim.Event_queue.top_time queue in
+    let ev = Sim.Event_queue.take queue in
+    let v = ev lsr 2 in
+    let kind = ev land 3 in
+    incr events;
+    if kind = depart then begin
+      Overlay.Failure.set alive v false;
+      Sim.Event_queue.add queue
+        ~time:(time +. Sim.Lifetime.draw cfg.gap rng)
+        ((v lsl 2) lor arrive)
+    end
+    else if kind = arrive then begin
+      Overlay.Failure.set alive v true;
+      Sim.Event_queue.add queue
+        ~time:(time +. Sim.Lifetime.draw cfg.session rng)
+        ((v lsl 2) lor depart)
+    end
+    else measure time
+  done;
   let measurements = List.rev !out in
   let count = List.length measurements in
   let mean f =

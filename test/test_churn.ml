@@ -4,21 +4,21 @@ open Helpers
 
 let test_queue_ordering () =
   let q = Sim.Event_queue.create () in
-  Sim.Event_queue.add q ~time:3.0 "c";
-  Sim.Event_queue.add q ~time:1.0 "a";
-  Sim.Event_queue.add q ~time:2.0 "b";
-  Alcotest.(check (option (pair (float 0.0) string))) "a" (Some (1.0, "a")) (Sim.Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "b" (Some (2.0, "b")) (Sim.Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "c" (Some (3.0, "c")) (Sim.Event_queue.pop q);
+  Sim.Event_queue.add q ~time:3.0 30;
+  Sim.Event_queue.add q ~time:1.0 10;
+  Sim.Event_queue.add q ~time:2.0 20;
+  Alcotest.(check (option (pair (float 0.0) int))) "a" (Some (1.0, 10)) (Sim.Event_queue.pop q);
+  Alcotest.(check (option (pair (float 0.0) int))) "b" (Some (2.0, 20)) (Sim.Event_queue.pop q);
+  Alcotest.(check (option (pair (float 0.0) int))) "c" (Some (3.0, 30)) (Sim.Event_queue.pop q);
   Alcotest.(check bool) "empty" true (Sim.Event_queue.pop q = None)
 
 let test_queue_fifo_ties () =
   let q = Sim.Event_queue.create () in
-  Sim.Event_queue.add q ~time:1.0 "first";
-  Sim.Event_queue.add q ~time:1.0 "second";
-  Alcotest.(check (option (pair (float 0.0) string))) "fifo" (Some (1.0, "first"))
+  Sim.Event_queue.add q ~time:1.0 1;
+  Sim.Event_queue.add q ~time:1.0 2;
+  Alcotest.(check (option (pair (float 0.0) int))) "fifo" (Some (1.0, 1))
     (Sim.Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "fifo2" (Some (1.0, "second"))
+  Alcotest.(check (option (pair (float 0.0) int))) "fifo2" (Some (1.0, 2))
     (Sim.Event_queue.pop q)
 
 let test_queue_interleaved () =
@@ -35,39 +35,56 @@ let test_queue_interleaved () =
 let test_queue_rejects_nan () =
   let q = Sim.Event_queue.create () in
   Alcotest.check_raises "nan" (Invalid_argument "Event_queue.add: nan time") (fun () ->
-      Sim.Event_queue.add q ~time:nan ())
+      Sim.Event_queue.add q ~time:nan 0)
 
 let queue_pops_sorted =
   qcheck "queue pops in non-decreasing time order"
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0.0 100.0))
     (fun times ->
       let q = Sim.Event_queue.create () in
-      List.iter (fun t -> Sim.Event_queue.add q ~time:t ()) times;
+      List.iter (fun t -> Sim.Event_queue.add q ~time:t 0) times;
       let rec drain last =
         match Sim.Event_queue.pop q with
         | None -> true
-        | Some (t, ()) -> t >= last && drain t
+        | Some (t, _) -> t >= last && drain t
       in
       drain neg_infinity)
 
-let test_queue_pop_releases_payload () =
-  (* Regression for the pop space leak: the vacated heap slot must be
-     cleared, so a popped payload with no other references is
-     collectable. *)
+let test_queue_take_never_allocates () =
+  (* The simulation loops take one event per step: with times in a
+     float array and int payloads, [take] allocates nothing (the leak
+     guard the boxed-entry queue needed is gone with the boxes: ints
+     retain nothing). 700 of 1000 events are taken, so the arrays stay
+     above the quarter-full shrink point and the count is of [take]
+     alone. *)
   let q = Sim.Event_queue.create () in
-  let weak = Weak.create 1 in
-  Sim.Event_queue.add q ~time:1.0 (Bytes.create 64);
-  Sim.Event_queue.add q ~time:2.0 (Bytes.create 64);
-  (* Pop inside a helper so no stack slot keeps the payload alive. *)
-  let stash () =
-    match Sim.Event_queue.pop q with
-    | Some (_, payload) -> Weak.set weak 0 (Some payload)
-    | None -> Alcotest.fail "queue should not be empty"
-  in
-  stash ();
-  Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0);
-  Alcotest.(check int) "one entry left" 1 (Sim.Event_queue.size q)
+  for i = 1 to 1000 do
+    Sim.Event_queue.add q ~time:(float_of_int (i * 7919 mod 1000)) i
+  done;
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 700 do
+    sum := !sum + Sim.Event_queue.take q
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "words allocated by 700 takes" 0. words;
+  (* Times 0..699 went first, carrying payloads i with i*7919 mod 1000
+     below 700. *)
+  let expected = ref 0 in
+  for i = 1 to 1000 do
+    if i * 7919 mod 1000 < 700 then expected := !expected + i
+  done;
+  Alcotest.(check int) "earliest payloads taken" !expected !sum;
+  Alcotest.(check (float 0.)) "next time" 700. (Sim.Event_queue.top_time q);
+  while not (Sim.Event_queue.is_empty q) do
+    ignore (Sim.Event_queue.take q)
+  done;
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Event_queue.take: empty queue") (fun () ->
+      ignore (Sim.Event_queue.take q));
+  Alcotest.check_raises "top_time on empty"
+    (Invalid_argument "Event_queue.top_time: empty queue") (fun () ->
+      ignore (Sim.Event_queue.top_time q))
 
 let test_queue_shrinks_after_spike () =
   (* A queue that once held thousands of events must not pin a
@@ -617,7 +634,7 @@ let suite =
     ("event queue interleaved", `Quick, test_queue_interleaved);
     ("event queue rejects nan", `Quick, test_queue_rejects_nan);
     queue_pops_sorted;
-    ("event queue pop releases payload", `Quick, test_queue_pop_releases_payload);
+    ("event queue take never allocates", `Quick, test_queue_take_never_allocates);
     ("event queue shrinks after spike", `Quick, test_queue_shrinks_after_spike);
     queue_matches_sorted_reference;
     queue_interleaved_matches_model;

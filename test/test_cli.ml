@@ -307,6 +307,28 @@ let test_trace_cli_report_and_chrome () =
   | Unix.WEXITED 0, _ -> Alcotest.fail "trace report on a missing file exited 0"
   | _, _ -> ()
 
+let test_churn_bad_bits_rejected () =
+  (* Regression: an invalid -d used to surface as an uncaught exception
+     (exit 125) after every point had failed its retries; it must be a
+     one-line usage error, exit 2, before the sweep starts. *)
+  List.iter
+    (fun args ->
+      let label = String.concat " " ("churn" :: args) in
+      let command = Filename.quote_command binary ("churn" :: args) ^ " 2>&1" in
+      match run_capture_shell command with
+      | Unix.WEXITED 2, out ->
+          Alcotest.(check bool)
+            (label ^ ": one dhtlab churn line") true
+            (String.starts_with ~prefix:"dhtlab churn: " out
+            && List.length (String.split_on_char '\n' (String.trim out)) = 1);
+          Alcotest.(check bool)
+            (label ^ ": no internal error") false
+            (Astring_contains.contains out "internal error")
+      | Unix.WEXITED n, out -> Alcotest.failf "%s exited %d: %s" label n out
+      | (Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
+          Alcotest.failf "%s killed by signal %d" label n)
+    [ [ "-d"; "0" ]; [ "-d"; "31" ]; [ "-g"; "record:h=4"; "-d"; "1" ] ]
+
 let suite =
   [
     ("binary present", `Quick, test_binary_present);
@@ -327,4 +349,5 @@ let suite =
     ("checkpoint/resume stdout roundtrip", `Quick, test_checkpoint_resume_roundtrip_stdout);
     ("obs flags preserve stdout + sinks validate", `Quick, test_obs_flags_preserve_stdout);
     ("trace report/export-chrome CLI", `Quick, test_trace_cli_report_and_chrome);
+    ("churn rejects invalid -d", `Quick, test_churn_bad_bits_rejected);
   ]

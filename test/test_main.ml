@@ -19,6 +19,7 @@ let () =
       ("replication", Test_replication.suite);
       ("sparse", Test_sparse.suite);
       ("sparse-golden", Test_sparse_golden.suite);
+      ("churn-golden", Test_churn_golden.suite);
       ("churn", Test_churn.suite);
       ("latency", Test_latency.suite);
       ("experiments-extended", Test_experiments_extended.suite);

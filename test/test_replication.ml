@@ -142,8 +142,10 @@ let test_bucket_copy_isolated () =
   Array.fill snapshot 0 (Array.length snapshot) (-1);
   Alcotest.(check (array int)) "table unchanged" before (Overlay.Kbucket.bucket t 7 1);
   Alcotest.(check (option string)) "invariants hold" None (Overlay.Kbucket.invariant_violation t);
-  (* [unsafe_bucket] is the live array, by design — same contents. *)
-  Alcotest.(check (array int)) "unsafe view agrees" before (Overlay.Kbucket.unsafe_bucket t 7 1)
+  (* The zero-copy accessors read the same contents as [bucket]. *)
+  let count = Overlay.Kbucket.contact_count t 7 1 in
+  Alcotest.(check (array int)) "accessor view agrees with bucket" before
+    (Array.init count (Overlay.Kbucket.contact t 7 1))
 
 let test_bucket_observe_lru () =
   let t = build_buckets ~k:3 () in
@@ -228,6 +230,109 @@ let kbucket_invariants_under_churn =
       match Overlay.Kbucket.invariant_violation t with
       | None -> true
       | Some msg -> QCheck2.Test.fail_report msg)
+
+(* Differential check of the flat store against the nested-array
+   reference it replaced (test/kbucket_reference.ml): the same random
+   operation sequence runs on both, and every bucket, every cache,
+   each ping_evict result and the PRNG state must agree throughout. *)
+module R = Kbucket_reference
+
+let show_ref = function
+  | R.No_contact -> "no contact"
+  | R.Refreshed id -> Printf.sprintf "refreshed %d" id
+  | R.Evicted { dead; promoted } ->
+      Printf.sprintf "evicted %d promoted %s" dead
+        (match promoted with None -> "none" | Some p -> string_of_int p)
+
+let show_flat = function
+  | Overlay.Kbucket.No_contact -> "no contact"
+  | Overlay.Kbucket.Refreshed id -> Printf.sprintf "refreshed %d" id
+  | Overlay.Kbucket.Evicted { dead; promoted } ->
+      Printf.sprintf "evicted %d promoted %s" dead
+        (match promoted with None -> "none" | Some p -> string_of_int p)
+
+let kbucket_matches_reference =
+  qcheck "flat k-buckets match the nested-array reference" ~count:150
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) (int_range 1 10) (int_range 1 8) (int_range 0 4))
+    (fun (seed, bits, k, cache_k) ->
+      let n = 1 lsl bits in
+      let ref_rng = rng_of_seed seed and flat_rng = rng_of_seed seed in
+      let r = R.build ~rng:ref_rng ~cache_k ~bits ~k () in
+      let f = Overlay.Kbucket.build ~rng:flat_rng ~cache_k ~bits ~k () in
+      let fail fmt = Printf.ksprintf QCheck2.Test.fail_report fmt in
+      let same_node what v =
+        for level = 1 to bits do
+          if R.bucket r v level <> Overlay.Kbucket.bucket f v level then
+            fail "%s: node %d level %d buckets differ" what v level;
+          if R.cache r v level <> Overlay.Kbucket.cache f v level then
+            fail "%s: node %d level %d caches differ" what v level
+        done;
+        if Prng.Splitmix.state ref_rng <> Prng.Splitmix.state flat_rng then
+          fail "%s: PRNG states differ" what
+      in
+      for v = 0 to n - 1 do
+        same_node "build" v
+      done;
+      let ops = rng_of_seed (seed + 1) in
+      let dead = Array.make n false in
+      let alive id = not dead.(id) in
+      (* Ids aimed at one of v's buckets, so deep buckets and their
+         caches fill too; sometimes v itself or an id v already holds. *)
+      let target v =
+        match Prng.Splitmix.int ops 4 with
+        | 0 -> v
+        | 1 -> (
+            let level = 1 + Prng.Splitmix.int ops bits in
+            let held = Array.append (R.bucket r v level) (R.cache r v level) in
+            match held with
+            | [||] -> Prng.Splitmix.int ops n
+            | a -> a.(Prng.Splitmix.int ops (Array.length a)))
+        | _ ->
+            let level = 1 + Prng.Splitmix.int ops bits in
+            Idspace.Id.with_suffix ~bits
+              (Idspace.Id.flip_bit ~bits v level)
+              ~prefix_len:level
+              ~suffix:(Prng.Splitmix.int ops n)
+      in
+      for step = 1 to 400 do
+        let v = Prng.Splitmix.int ops n in
+        let what = Printf.sprintf "step %d" step in
+        (match Prng.Splitmix.int ops 7 with
+        | 0 ->
+            for id = 0 to n - 1 do
+              dead.(id) <- Prng.Splitmix.int ops 3 = 0
+            done
+        | 1 | 2 ->
+            let id = target v in
+            R.observe r v id;
+            Overlay.Kbucket.observe f v id
+        | 3 ->
+            let level = 1 + Prng.Splitmix.int ops bits in
+            let a = show_ref (R.ping_evict r v ~level ~alive) in
+            let b = show_flat (Overlay.Kbucket.ping_evict f v ~level ~alive) in
+            if a <> b then fail "%s: ping_evict %S vs %S" what a b
+        | 4 ->
+            R.maintain r v ~alive;
+            Overlay.Kbucket.maintain f v ~alive
+        | 5 ->
+            let level = 1 + Prng.Splitmix.int ops bits in
+            R.rebuild_bucket ~alive r ref_rng v ~level;
+            Overlay.Kbucket.rebuild_bucket ~alive f flat_rng v ~level
+        | _ ->
+            let level = 1 + Prng.Splitmix.int ops bits in
+            R.rebuild_bucket r ref_rng v ~level;
+            Overlay.Kbucket.rebuild_bucket f flat_rng v ~level);
+        same_node what v
+      done;
+      for v = 0 to n - 1 do
+        same_node "end" v
+      done;
+      match (R.invariant_violation r, Overlay.Kbucket.invariant_violation f) with
+      | None, None -> true
+      | a, b ->
+          let show = Option.value ~default:"none" in
+          fail "invariants: reference %s, flat %s" (show a) (show b))
 
 (* --- Bucket routing ----------------------------------------------------------- *)
 
@@ -453,6 +558,7 @@ let suite =
     ("k-bucket LRU on observe", `Quick, test_bucket_observe_lru);
     ("k-bucket cache promotion", `Quick, test_bucket_cache_promotion);
     ("k-bucket ping refreshes live head", `Quick, test_bucket_ping_refreshes_live_head);
+    kbucket_matches_reference;
     kbucket_invariants_under_churn;
     ("bucket routing at q=0", `Quick, test_bucket_route_no_failures);
     ("bucket routing k=1 sanity", `Quick, test_bucket_route_k1_matches_table_router);
